@@ -34,6 +34,9 @@ stg::MgStg mg_from_component(const stg::Stg& stg,
   mg.initial_values = initial_values;
   mg.validate();
   check(mg.live(), "mg_from_component: component has a token-free cycle");
+  // Checked once here instead of swept after the first splice of every
+  // gate's projection (the result is the same either way).
+  mg.check_reduced();
   return mg;
 }
 

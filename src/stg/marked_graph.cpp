@@ -58,9 +58,10 @@ void MgStg::insert_arc(int from, int to, int tokens, ArcKind kind) {
   if (existing != -1) {
     arcs_[existing].tokens = std::min(arcs_[existing].tokens, tokens);
     arcs_[existing].kind = stronger(arcs_[existing].kind, kind);
-    return;
+  } else {
+    arcs_.push_back(MgArc{from, to, tokens, kind});
   }
-  arcs_.push_back(MgArc{from, to, tokens, kind});
+  reduced_ = false;
 }
 
 void MgStg::remove_arc(int from, int to) {
@@ -99,6 +100,7 @@ void MgStg::set_arc_kind(int from, int to, ArcKind kind) {
   const int index = find_arc(from, to);
   check(index != -1, "set_arc_kind: arc not present");
   arcs_[index].kind = kind;
+  if (kind == ArcKind::normal) reduced_ = false;
 }
 
 std::vector<int> MgStg::preds(int t) const {
@@ -126,26 +128,163 @@ std::string MgStg::transition_text(int t) const {
   return label_text(transitions_[t], *signals_);
 }
 
+namespace {
+
+/// Scratch for the shortcut-place test, reused across calls on a thread: an
+/// intrusive out-arc list over the arc table and the Dijkstra state.
+struct ShortcutSearch {
+  std::vector<int> head;
+  std::vector<int> next_arc;
+  std::vector<std::int64_t> dist;
+  std::vector<std::pair<std::int64_t, int>> heap;
+  std::vector<char> removed;  // per sweep, by arc index
+
+  void index(int transitions, const std::vector<MgArc>& arcs) {
+    head.assign(transitions, -1);
+    next_arc.resize(arcs.size());
+    for (int i = 0; i < static_cast<int>(arcs.size()); ++i) {
+      next_arc[i] = head[arcs[i].from];
+      head[arcs[i].from] = i;
+    }
+  }
+
+  /// Drops arc `i` from the out-arc list of its source.
+  void unlink(const std::vector<MgArc>& arcs, int i) {
+    int* link = &head[arcs[i].from];
+    while (*link != i) link = &next_arc[*link];
+    *link = next_arc[i];
+  }
+
+  /// Shortcut-place test (Figure 5.15): a path from -> to over the listed
+  /// arcs other than `arc_index` whose token sum does not exceed the arc's
+  /// own tokens. A budget-pruned Dijkstra: paths costlier than the arc can
+  /// never witness redundancy and are cut immediately.
+  bool shortcut_exists(const std::vector<MgArc>& arcs, int arc_index) {
+    const MgArc& arc = arcs[arc_index];
+    dist.assign(head.size(), -1);
+    heap.clear();
+    const std::int64_t budget = arc.tokens;
+    dist[arc.from] = 0;
+    heap.emplace_back(0, arc.from);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, v] = heap.back();
+      heap.pop_back();
+      if (d != dist[v]) continue;
+      if (v == arc.to) return true;  // settled within the budget
+      for (int i = head[v]; i != -1; i = next_arc[i]) {
+        if (i == arc_index) continue;
+        const std::int64_t candidate = d + arcs[i].tokens;
+        if (candidate > budget) continue;
+        const int next = arcs[i].to;
+        if (dist[next] == -1 || candidate < dist[next]) {
+          dist[next] = candidate;
+          heap.emplace_back(candidate, next);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        }
+      }
+    }
+    return false;
+  }
+};
+
+ShortcutSearch& shortcut_search() {
+  thread_local ShortcutSearch search;
+  return search;
+}
+
+}  // namespace
+
+bool MgStg::arc_redundant(int arc_index) const {
+  const MgArc& arc = arcs_[arc_index];
+  if (arc.from == arc.to) return arc.tokens > 0;
+  ShortcutSearch& search = shortcut_search();
+  search.index(transition_count(), arcs_);
+  return search.shortcut_exists(arcs_, arc_index);
+}
+
+template <typename Touched>
+void MgStg::sweep_redundant_arcs(bool was_reduced, Touched touched) {
+  // One pass in index order, which removes exactly what restarting from arc
+  // 0 after every removal would: removing an arc only lengthens the other
+  // arcs' witness paths, so an arc found non-redundant stays non-redundant.
+  // For the same reason, on a graph that was reduced before the caller's
+  // edit, the untouched arcs need no test. The out-arc lists are built
+  // once; removed arcs are unlinked from them and erased together at the
+  // end.
+  auto checked = [was_reduced, &touched](const MgArc& arc) {
+    return arc.kind == ArcKind::normal && (!was_reduced || touched(arc));
+  };
+  reduced_ = true;
+  if (std::none_of(arcs_.begin(), arcs_.end(), checked)) return;
+  ShortcutSearch& search = shortcut_search();
+  search.index(transition_count(), arcs_);
+  std::vector<char>& removed = search.removed;
+  removed.assign(arcs_.size(), 0);
+  bool any_removed = false;
+  for (int i = 0; i < static_cast<int>(arcs_.size()); ++i) {
+    if (!checked(arcs_[i]) || !search.shortcut_exists(arcs_, i)) continue;
+    search.unlink(arcs_, i);
+    removed[i] = 1;
+    any_removed = true;
+  }
+  if (!any_removed) return;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < arcs_.size(); ++i)
+    if (!removed[i]) arcs_[kept++] = arcs_[i];
+  arcs_.resize(kept);
+}
+
+bool MgStg::check_reduced() {
+  if (reduced_) return true;
+  ShortcutSearch& search = shortcut_search();
+  search.index(transition_count(), arcs_);
+  for (int i = 0; i < static_cast<int>(arcs_.size()); ++i)
+    if (arcs_[i].kind == ArcKind::normal && search.shortcut_exists(arcs_, i))
+      return false;
+  reduced_ = true;
+  return true;
+}
+
+void MgStg::eliminate_redundant_arcs() {
+  sweep_redundant_arcs(/*was_reduced=*/false, [](const MgArc&) {
+    return true;
+  });
+}
+
 void MgStg::project(const std::vector<bool>& keep_signal) {
   check(static_cast<int>(keep_signal.size()) == signals_->count(),
         "project: keep mask size mismatch");
+  std::vector<MgArc> in;
+  std::vector<MgArc> out;
   for (int t = 0; t < transition_count(); ++t) {
     if (!alive_[t] || keep_signal[transitions_[t].signal]) continue;
+    const bool was_reduced = reduced_;
     // Splice causality through t: every predecessor connects to every
     // successor, accumulating the token counts of the two spliced places.
-    const std::vector<int> before = preds(t);
-    const std::vector<int> after = succs(t);
-    for (int p : before) {
-      const int tokens_in = arc_tokens(p, t);
-      for (int s : after) {
-        const int tokens_out = arc_tokens(t, s);
-        insert_arc(p, s, tokens_in + tokens_out);
-      }
+    in.clear();
+    out.clear();
+    for (const MgArc& arc : arcs_) {
+      if (arc.to == t) in.push_back(arc);
+      if (arc.from == t) out.push_back(arc);
     }
-    for (int p : before) remove_arc(p, t);
-    for (int s : after) remove_arc(t, s);
+    for (const MgArc& p : in)
+      for (const MgArc& s : out) insert_arc(p.from, s.to, p.tokens + s.tokens);
+    std::erase_if(arcs_, [t](const MgArc& arc) {
+      return arc.from == t || arc.to == t;
+    });
     alive_[t] = false;
-    eliminate_redundant_arcs();
+    // Splicing preserves every token distance between the surviving
+    // transitions (each new arc p => s stands for the path p => t => s), so
+    // only the spliced arcs can have become redundant.
+    sweep_redundant_arcs(was_reduced, [&in, &out](const MgArc& arc) {
+      const auto from_pred = [&arc](const MgArc& p) {
+        return p.from == arc.from;
+      };
+      const auto to_succ = [&arc](const MgArc& s) { return s.to == arc.to; };
+      return std::any_of(in.begin(), in.end(), from_pred) &&
+             std::any_of(out.begin(), out.end(), to_succ);
+    });
   }
 }
 
@@ -155,6 +294,7 @@ void MgStg::relax(int from, int to) {
                          " => " + transition_text(to));
   check(arcs_[index].kind == ArcKind::normal,
         "relax: only normal arcs may be relaxed");
+  const bool was_reduced = reduced_;
   const int shared_tokens = arcs_[index].tokens;
   const std::vector<int> before = preds(from);
   const std::vector<int> after = succs(to);
@@ -164,68 +304,14 @@ void MgStg::relax(int from, int to) {
     insert_arc(b, to, arc_tokens(b, from) + shared_tokens);
   for (int d : after)
     insert_arc(from, d, arc_tokens(to, d) + shared_tokens);
-  eliminate_redundant_arcs();
-}
-
-bool MgStg::arc_redundant(int arc_index) const {
-  const MgArc& arc = arcs_[arc_index];
-  if (arc.from == arc.to) return arc.tokens > 0;
-  // Shortcut-place test (Figure 5.15): shortest token path from -> to
-  // avoiding this arc. This runs once per arc per elimination sweep, so it
-  // uses a budget-pruned Dijkstra over an intrusive arc index with
-  // thread_local scratch — paths costlier than the arc's own tokens can
-  // never witness redundancy and are cut immediately.
-  const int n = transition_count();
-  const int arc_count = static_cast<int>(arcs_.size());
-  thread_local std::vector<int> head;
-  thread_local std::vector<int> next_arc;
-  thread_local std::vector<std::int64_t> dist;
-  thread_local std::vector<std::pair<std::int64_t, int>> heap;
-  head.assign(n, -1);
-  next_arc.resize(arc_count);
-  for (int i = 0; i < arc_count; ++i) {
-    if (i == arc_index) continue;
-    next_arc[i] = head[arcs_[i].from];
-    head[arcs_[i].from] = i;
-  }
-  dist.assign(n, -1);
-  heap.clear();
-  const std::int64_t budget = arc.tokens;
-  dist[arc.from] = 0;
-  heap.emplace_back(0, arc.from);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    const auto [d, v] = heap.back();
-    heap.pop_back();
-    if (d != dist[v]) continue;
-    if (v == arc.to) return true;  // settled within the budget
-    for (int i = head[v]; i != -1; i = next_arc[i]) {
-      const std::int64_t candidate = d + arcs_[i].tokens;
-      if (candidate > budget) continue;
-      const int to = arcs_[i].to;
-      if (dist[to] == -1 || candidate < dist[to]) {
-        dist[to] = candidate;
-        heap.emplace_back(candidate, to);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-      }
-    }
-  }
-  return false;
-}
-
-void MgStg::eliminate_redundant_arcs() {
-  bool removed = true;
-  while (removed) {
-    removed = false;
-    for (int i = 0; i < static_cast<int>(arcs_.size()); ++i) {
-      if (arcs_[i].kind != ArcKind::normal) continue;
-      if (arc_redundant(i)) {
-        arcs_.erase(arcs_.begin() + i);
-        removed = true;
-        break;
-      }
-    }
-  }
+  // Each inserted arc stands for a path through the relaxed arc, so only
+  // arcs touching `from` or `to` can have become redundant: the inserted
+  // ones, and (when a token-free cycle runs through the relaxed arc) arcs
+  // into `from` or out of `to` that the inserted arcs now shortcut.
+  sweep_redundant_arcs(was_reduced, [from, to](const MgArc& arc) {
+    return arc.from == from || arc.from == to || arc.to == from ||
+           arc.to == to;
+  });
 }
 
 bool MgStg::structurally_before(int t1, int t2) const {

@@ -69,9 +69,15 @@ class MgStg {
   // The Expand loop tries one relaxation per step and rejects most of them.
   // Relaxation (and set_arc_kind) mutate only the arc table, so a trial is:
   // snapshot, relax in place, and restore on rejection — no whole-STG copy.
-  using ArcSnapshot = std::vector<MgArc>;
-  ArcSnapshot arc_snapshot() const { return arcs_; }
-  void restore_arcs(ArcSnapshot snapshot) { arcs_ = std::move(snapshot); }
+  struct ArcSnapshot {
+    std::vector<MgArc> arcs;
+    bool reduced = false;
+  };
+  ArcSnapshot arc_snapshot() const { return {arcs_, reduced_}; }
+  void restore_arcs(ArcSnapshot snapshot) {
+    arcs_ = std::move(snapshot.arcs);
+    reduced_ = snapshot.reduced;
+  }
 
   // ---- inspection ---------------------------------------------------------
   const SignalTable& signals() const { return *signals_; }
@@ -104,19 +110,30 @@ class MgStg {
   /// Algorithm 1: hides every transition whose signal is not in
   /// `keep_signal` (indexed by signal id), rebuilding causality through the
   /// hidden events and eliminating redundant arcs after each elimination.
+  /// The arcs are exactly those of a whole-graph sweep after every hidden
+  /// transition, but once the graph is reduced each sweep tests only the
+  /// arcs the splice created or merged.
   void project(const std::vector<bool>& keep_signal);
 
   /// Algorithm 2: relaxes the arc x* => y*, making the two events concurrent
   /// while preserving their orderings against all other events. Predecessors
   /// of x* become predecessors of y*; successors of y* become successors of
   /// x*; token counts follow the flow-preserving sum rule. Ends with a
-  /// redundant-arc sweep.
+  /// redundant-arc sweep, limited to the arcs touching x* or y* when the
+  /// graph was reduced before the relaxation (same result as a full sweep).
   void relax(int from, int to);
 
   /// Section 5.3.3: removes loop-only and shortcut places until fixpoint.
   /// Arcs of kind `restriction` are never removed (Section 6.2); arcs of
-  /// kind `guaranteed` are kept for constraint reporting.
+  /// kind `guaranteed` are kept for constraint reporting. Arcs are tested
+  /// in index order and the first of two mutually redundant arcs goes.
   void eliminate_redundant_arcs();
+
+  /// True when no normal arc is redundant, so a sweep would remove nothing.
+  /// Tests every normal arc unless a sweep has already established it, and
+  /// remembers a positive answer: project() and relax() on this graph or a
+  /// copy of it then sweep only the arcs they touch, from the first splice.
+  bool check_reduced();
 
   /// True when the arc (by index) is redundant per the shortcut-place
   /// criterion: a path from -> to avoiding the arc exists whose token sum
@@ -144,10 +161,22 @@ class MgStg {
   std::vector<int> initial_values;
 
  private:
+  /// One redundancy sweep in index order. When the graph was reduced
+  /// before the caller's edit, it tests only the normal arcs for which
+  /// `touched(arc)` holds, which must include every arc the edit could have
+  /// made redundant; otherwise it tests every normal arc. Leaves the graph
+  /// reduced.
+  template <typename Touched>
+  void sweep_redundant_arcs(bool was_reduced, Touched touched);
+
   const SignalTable* signals_;
   std::vector<TransitionLabel> transitions_;
   std::vector<bool> alive_;
   std::vector<MgArc> arcs_;
+  // No normal arc is redundant. Set by every sweep; cleared by arc insertion
+  // and by turning an arc normal. Removing an arc keeps it (removal only
+  // lengthens paths). Lets project() and relax() sweep locally.
+  bool reduced_ = false;
 };
 
 }  // namespace sitime::stg
