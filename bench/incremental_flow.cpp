@@ -15,7 +15,6 @@
 // target gate's equation — so the gate's function (and with it the
 // constraint sets) is unchanged while its job keys, and the whole-design
 // key, differ on every iteration.
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -108,9 +107,6 @@ int main() {
   using namespace sitime;
   constexpr int kRounds = 5;  // edit stream: kRounds distinct edits per gate
 
-  // Gate store for the delta runs: the real service cache with nothing
-  // reserved for whole-design entries, so the whole budget is slices.
-  static const std::atomic<std::size_t> kNoDesignBytes{0};
 
   std::vector<DesignRow> rows;
   for (const auto& bench : benchdata::all_benchmarks()) {
@@ -168,8 +164,10 @@ int main() {
     // unedited design, then replay the same edit stream. Each edit
     // re-targets the cached decomposition's job list at its circuit; the
     // shared FlowKeyCache keeps the key bases warm, and unchanged gates
-    // hit their cached slices.
-    svc::GateCache store(64 * 1024 * 1024, &kNoDesignBytes);
+    // hit their cached slices. The store is the real service cache as the
+    // only tier of its budget, so the whole budget is slices.
+    svc::CacheBudget budget(64 * 1024 * 1024);
+    svc::GateCache store(budget);
     const core::FlowDecomposition cached =
         core::decompose_flow(stg, circuit);
     {
@@ -177,8 +175,8 @@ int main() {
       options.gate_store = &store;
       core::derive_timing_constraints(cached, stg, circuit, options);
     }
-    const long long primed_hits = store.hits();
-    const long long primed_misses = store.misses();
+    const long long primed_hits = store.tier().stats().hits;
+    const long long primed_misses = store.tier().stats().misses;
     const auto delta_start = Clock::now();
     for (int round = 1; round <= kRounds; ++round)
       for (const std::string& gate : gates) {
@@ -193,8 +191,8 @@ int main() {
         run_edit(decomposition, edited, &store, row.delta);
       }
     row.delta_seconds = seconds_since(delta_start);
-    const long long hits = store.hits() - primed_hits;
-    const long long misses = store.misses() - primed_misses;
+    const long long hits = store.tier().stats().hits - primed_hits;
+    const long long misses = store.tier().stats().misses - primed_misses;
     row.hit_rate = hits + misses > 0
                        ? static_cast<double>(hits) /
                              static_cast<double>(hits + misses)

@@ -19,6 +19,11 @@
 // every caller observes one canonical graph per key. hits()/misses() are
 // monotonic atomics; hits + misses always equals the number of
 // get_or_build calls.
+//
+// Bound: a shard that reaches 256 graphs is cleared before its next
+// insert, so the cache never holds more than 16 × 256 = 4 096 graphs. That
+// is a count bound, not a byte bound: the graphs are not charged to the
+// service's svc::CacheBudget.
 #pragma once
 
 #include <atomic>

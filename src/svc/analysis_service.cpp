@@ -52,7 +52,7 @@ std::string fnv1a_hex(const std::string& text) {
 
 // The calibrated footprint accounting these entries are charged with
 // lives in svc/footprint.hpp, shared with the decomposition and gate-slice
-// cache levels so the one budget compares like with like.
+// tiers so the one budget compares like with like.
 
 }  // namespace
 
@@ -149,10 +149,6 @@ struct AnalysisService::Entry {
   std::shared_ptr<const std::string> canonical_json;
   std::shared_ptr<const core::RenderedReport> rendered;  // set with report
 
-  /// Bytes currently charged against the service budget. Guarded by the
-  /// SERVICE mutex, not this->mutex.
-  std::size_t charged_bytes = 0;
-
   /// A persistent-store spill was already attempted for this entry (set
   /// true on loaded entries too — they came FROM the store). Guarded by
   /// this->mutex. "Attempted", not "succeeded": a failed write is not
@@ -173,12 +169,13 @@ struct AnalysisService::Entry {
   /// Resident footprint of everything the entry currently holds. Called
   /// with `mutex` held (or by the sole runner before publishing).
   std::size_t footprint_bytes() const {
-    // The canonical string is charged twice: the cache map key holds a
-    // second copy, plus the map/list node overheads of the indexes.
+    // The canonical string is charged twice: the design tier's index
+    // holds a second copy, plus the map/list node overheads (the list
+    // node's value pointer, links and byte charge).
     std::size_t total = sizeof(Entry) + 2 * heap_bytes(canonical) +
                         heap_bytes(key_hex) + heap_bytes(stg_canonical) +
-                        2 * kHashNodeBytes +
-                        sizeof(std::shared_ptr<Entry>) + 2 * sizeof(void*);
+                        2 * kHashNodeBytes + sizeof(std::shared_ptr<Entry>) +
+                        2 * sizeof(void*) + sizeof(std::size_t);
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
     if (completed >= core::Phase::decomposed)
@@ -199,10 +196,10 @@ struct AnalysisService::Entry {
 
 AnalysisService::AnalysisService(ServiceOptions options)
     : options_(std::move(options)),
-      decomp_cache_(options_.decomp_cache ? options_.cache_budget_bytes : 0,
-                    &design_bytes_),
-      gate_cache_(options_.gate_cache ? options_.cache_budget_bytes : 0,
-                  &upper_level_bytes_) {
+      budget_(options_.cache_budget_bytes),
+      designs_(budget_),
+      decomp_cache_(budget_),
+      gate_cache_(budget_) {
   // The persistent store opens before the metric registrations so the
   // sitime_disk_store_* callbacks can read it unconditionally. A store
   // that failed to open stays constructed (ok() false) for the boot
@@ -237,9 +234,11 @@ void AnalysisService::register_metrics() {
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"upgrade\"");
   coalesced_ =
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"coalesced\"");
-  evictions_ = &metrics_.counter(
-      "sitime_design_cache_evictions_total",
-      "Design-cache entries dropped by the byte budget.");
+  designs_.register_metrics(
+      metrics_, this, "sitime_design_cache",
+      {.evictions = "Design-cache entries dropped by the byte budget.",
+       .entries = "Resident design-cache entries.",
+       .bytes = "Estimated resident footprint of the design cache."});
   failures_ = &metrics_.counter(
       "sitime_request_failures_total",
       "Requests that ended in an error (every error_code).");
@@ -305,18 +304,9 @@ void AnalysisService::register_metrics() {
        return static_cast<double>(
            cancelled_subtasks_.load(std::memory_order_relaxed));
      });
-  cb("sitime_design_cache_entries", "Resident design-cache entries.",
-     "gauge", [this] {
-       std::lock_guard<std::mutex> lock(mutex_);
-       return static_cast<double>(lru_.size());
-     });
-  cb("sitime_design_cache_bytes",
-     "Estimated resident footprint of the design cache.", "gauge", [this] {
-       return static_cast<double>(
-           design_bytes_.load(std::memory_order_relaxed));
-     });
   cb("sitime_cache_budget_bytes",
-     "Byte budget shared by the design and gate caches.", "gauge",
+     "Byte budget shared by the design, decomposition and gate caches.",
+     "gauge",
      [this] { return static_cast<double>(options_.cache_budget_bytes); });
   cb("sitime_sg_cache_hits_total", "Cross-request state-graph cache hits.",
      "counter", [this] { return static_cast<double>(sg_cache_.hits()); });
@@ -325,36 +315,22 @@ void AnalysisService::register_metrics() {
      [this] { return static_cast<double>(sg_cache_.misses()); });
   cb("sitime_sg_cache_entries", "Memoized state graphs resident.", "gauge",
      [this] { return static_cast<double>(sg_cache_.entries()); });
-  cb("sitime_decomp_cache_hits_total",
-     "Decomposition cache hits (STG-keyed; a hit skips the global-SG "
-     "rebuild of the decompose phase).",
-     "counter",
-     [this] { return static_cast<double>(decomp_cache_.hits()); });
-  cb("sitime_decomp_cache_misses_total", "Decomposition cache misses.",
-     "counter",
-     [this] { return static_cast<double>(decomp_cache_.misses()); });
-  cb("sitime_decomp_cache_evictions_total",
-     "Decompositions shed to fit the shared budget.", "counter",
-     [this] { return static_cast<double>(decomp_cache_.evictions()); });
-  cb("sitime_decomp_cache_entries", "Resident cached decompositions.",
-     "gauge",
-     [this] { return static_cast<double>(decomp_cache_.entries()); });
-  cb("sitime_decomp_cache_bytes",
-     "Estimated resident footprint of the decomposition cache.", "gauge",
-     [this] { return static_cast<double>(decomp_cache_.bytes()); });
-  cb("sitime_gate_cache_hits_total", "Gate-level slice cache hits.",
-     "counter", [this] { return static_cast<double>(gate_cache_.hits()); });
-  cb("sitime_gate_cache_misses_total", "Gate-level slice cache misses.",
-     "counter",
-     [this] { return static_cast<double>(gate_cache_.misses()); });
-  cb("sitime_gate_cache_evictions_total",
-     "Gate-level slices shed to fit the shared budget.", "counter",
-     [this] { return static_cast<double>(gate_cache_.evictions()); });
-  cb("sitime_gate_cache_entries", "Resident gate-level slices.", "gauge",
-     [this] { return static_cast<double>(gate_cache_.entries()); });
-  cb("sitime_gate_cache_bytes",
-     "Estimated resident footprint of the gate-level slice cache.",
-     "gauge", [this] { return static_cast<double>(gate_cache_.bytes()); });
+  decomp_cache_.tier().register_metrics(
+      metrics_, this, "sitime_decomp_cache",
+      {.hits = "Decomposition cache hits (STG-keyed; a hit skips the "
+               "global-SG rebuild of the decompose phase).",
+       .misses = "Decomposition cache misses.",
+       .evictions = "Decompositions shed to fit the shared budget.",
+       .entries = "Resident cached decompositions.",
+       .bytes = "Estimated resident footprint of the decomposition cache."});
+  gate_cache_.tier().register_metrics(
+      metrics_, this, "sitime_gate_cache",
+      {.hits = "Gate-level slice cache hits.",
+       .misses = "Gate-level slice cache misses.",
+       .evictions = "Gate-level slices shed to fit the shared budget.",
+       .entries = "Resident gate-level slices.",
+       .bytes = "Estimated resident footprint of the gate-level slice "
+                "cache."});
 
   // Persistent-store counters: registered unconditionally (zero without
   // --cache-dir) so dashboards and the metrics_check catalog see a
@@ -433,8 +409,7 @@ core::FlowOptions AnalysisService::flow_options(
   options.sg_build.pool = options_.pool;
   options.sg_build.serial_seconds = sg_build_seconds_[0];
   options.sg_build.parallel_seconds = sg_build_seconds_[1];
-  if (options_.gate_cache && options_.cache_budget_bytes > 0)
-    options.gate_store = &gate_cache_;
+  if (options_.cache_budget_bytes > 0) options.gate_store = &gate_cache_;
   options.cancel = cancel;
   return options;
 }
@@ -446,6 +421,7 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
                                  core::Phase& achieved,
                                  std::size_t& footprint) {
   const core::FlowOptions options = flow_options(jobs, cancel);
+  const bool caching = options_.cache_budget_bytes > 0;
   while (true) {
     core::Phase next;
     {
@@ -475,10 +451,8 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
           // projections included. A design with no explicit netlist is
           // servable only when the cached value retained the synthesized
           // circuit.
-          const bool decomp_enabled =
-              options_.decomp_cache && options_.cache_budget_bytes > 0;
           const std::shared_ptr<const DecompCache::Value> cached =
-              decomp_enabled
+              caching
                   ? decomp_cache_.lookup(
                         entry->stg_canonical,
                         /*have_circuit=*/entry->artifacts.circuit != nullptr)
@@ -523,7 +497,7 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
               entry->artifacts.circuit->to_eqn());
           ++run.decomposes;
           run.decompose_seconds = entry->artifacts.decompose_seconds;
-          {
+          if (caching) {
             DecompCache::Value value;
             value.decomposition = entry->artifacts.decomposition;
             value.built_eqn = *netlist;
@@ -532,7 +506,6 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
               value.synth_eqn = netlist;
             }
             decomp_cache_.insert(entry->stg_canonical, std::move(value));
-            refresh_gate_allowance();
           }
           break;
         }
@@ -567,12 +540,6 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
             report = std::make_shared<const core::FlowReport>(
                 std::move(rendered));
           }
-          // Coarse valve on the cross-request SG memoization (see
-          // ServiceOptions): evicting design entries does not release the
-          // state graphs their flows inserted.
-          if (options_.sg_cache_max_entries > 0 &&
-              sg_cache_.entries() > options_.sg_cache_max_entries)
-            sg_cache_.clear();
           break;
         case core::Phase::parsed:
           break;  // unreachable: parsed is never a *next* phase
@@ -620,34 +587,15 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
   }
 }
 
-void AnalysisService::refresh_gate_allowance() {
-  upper_level_bytes_.store(
-      design_bytes_.load(std::memory_order_relaxed) + decomp_cache_.bytes(),
-      std::memory_order_relaxed);
-  gate_cache_.shed_to_fit();
-}
-
-void AnalysisService::evict_overflow_locked() {
-  // Shed priority design > decomposition > gate slice: publish the new
-  // design bytes, shed decompositions down to whatever the designs leave
-  // free, then gate slices down to what designs + decompositions leave,
-  // BEFORE considering a design eviction. Only when the designs alone
-  // overflow the budget does the design LRU give ground — so neither a
-  // gate-slice burst nor a decomposition insert can ever push a resident
-  // whole-design entry out, and a design burst squeezes gate slices to
-  // zero before it touches a cached decomposition.
-  design_bytes_.store(bytes_, std::memory_order_relaxed);
-  decomp_cache_.shed_to_fit();
-  refresh_gate_allowance();
-  while (bytes_ > options_.cache_budget_bytes && !lru_.empty()) {
-    const std::shared_ptr<Entry>& victim = lru_.back();
-    bytes_ -= victim->charged_bytes;
-    cache_.erase(victim->canonical);
-    lru_.pop_back();
-    evictions_->inc();
-  }
-  design_bytes_.store(bytes_, std::memory_order_relaxed);
-  refresh_gate_allowance();
+bool AnalysisService::retain_locked(const std::shared_ptr<Entry>& entry,
+                                    std::size_t bytes) {
+  if (!designs_.insert(entry->canonical, entry, bytes)) return false;
+  // Shed priority design > decomposition > gate slice: the lower tiers
+  // shed against the grown design bytes before the design LRU gives
+  // ground, so a design burst squeezes gate slices to zero before it
+  // touches a cached decomposition, and both before any resident design.
+  budget_.shed_lower_first(designs_);
+  return true;
 }
 
 void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
@@ -681,22 +629,10 @@ void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
       inflight != inflight_.end() && inflight->second == entry;
   if (mine_inflight) inflight_.erase(inflight);
 
-  const auto resident = cache_.find(entry->canonical);
-  if (resident != cache_.end() && *resident->second == entry) {
-    // Resident upgrade (or failed upgrade attempt): re-charge the grown
-    // entry, dropping it when it alone no longer fits the budget.
-    if (footprint_now > options_.cache_budget_bytes) {
-      bytes_ -= entry->charged_bytes;
-      lru_.erase(resident->second);
-      cache_.erase(resident);
-      evictions_->inc();
-      design_bytes_.store(bytes_, std::memory_order_relaxed);
-      refresh_gate_allowance();
-    } else if (footprint_now != entry->charged_bytes) {
-      bytes_ = bytes_ - entry->charged_bytes + footprint_now;
-      entry->charged_bytes = footprint_now;
-      evict_overflow_locked();
-    }
+  // Resident upgrade (or failed upgrade attempt): re-charge the grown
+  // entry; the design tier drops it when it alone no longer fits.
+  if (designs_.recharge(entry->canonical, entry.get(), footprint_now)) {
+    budget_.shed_lower_first(designs_);
     return;
   }
   // First retention of a fresh entry. Even a failed run keeps the phases
@@ -711,14 +647,7 @@ void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
   // (retention is always optional).
   if (base::fault_fires(base::FaultPoint::cache_insert)) return;
   if (achieved == core::Phase::parsed) return;
-  if (options_.cache_budget_bytes == 0) return;
-  if (footprint_now > options_.cache_budget_bytes) return;
-  if (cache_.find(entry->canonical) != cache_.end()) return;
-  bytes_ += footprint_now;
-  entry->charged_bytes = footprint_now;
-  lru_.push_front(entry);
-  cache_[entry->canonical] = lru_.begin();
-  evict_overflow_locked();
+  retain_locked(entry, footprint_now);
 }
 
 void AnalysisService::maybe_spill(const std::shared_ptr<Entry>& entry) {
@@ -879,11 +808,8 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto cached = cache_.find(parsed.canonical);
-    if (cached != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, cached->second);  // touch
-      entry = *cached->second;
-    } else {
+    entry = designs_.lookup(parsed.canonical);
+    if (entry == nullptr) {
       const auto in_flight = inflight_.find(parsed.canonical);
       if (in_flight != inflight_.end()) {
         entry = in_flight->second;
@@ -1201,18 +1127,13 @@ int AnalysisService::warm_from_disk() {
       std::lock_guard<std::mutex> lock(mutex_);
       // A duplicate key (warm_from_disk called twice, or a request beat
       // the boot load) keeps the resident entry and the file.
-      if (cache_.find(entry->canonical) != cache_.end() ||
+      if (designs_.contains(entry->canonical) ||
           inflight_.find(entry->canonical) != inflight_.end())
         continue;
-      if (footprint_now > options_.cache_budget_bytes) {
+      if (!retain_locked(entry, footprint_now)) {
         disk_store_->note_skip();
         continue;  // served cold this generation; keep the file
       }
-      bytes_ += footprint_now;
-      entry->charged_bytes = footprint_now;
-      lru_.push_front(entry);
-      cache_[entry->canonical] = lru_.begin();
-      evict_overflow_locked();
     }
     disk_store_->note_load();
     ++loaded;
@@ -1221,35 +1142,37 @@ int AnalysisService::warm_from_disk() {
 }
 
 CacheStats AnalysisService::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   CacheStats stats;
   stats.hits = hits_->value();
   stats.misses = misses_->value();
   stats.upgrades = upgrades_->value();
   stats.coalesced = coalesced_->value();
-  stats.evictions = evictions_->value();
   stats.failures = failures_->value();
   stats.deadline_exceeded = deadline_exceeded_->value();
   stats.cancelled_subtasks = cancelled_subtasks_;
   stats.decompose_runs = decompose_runs_->value();
   stats.verify_runs = verify_runs_->value();
   stats.derive_runs = derive_runs_->value();
-  stats.entries = static_cast<int>(lru_.size());
-  stats.bytes = bytes_;
+  const CacheTierStats designs = designs_.stats();
+  stats.evictions = designs.evictions;
+  stats.entries = designs.entries;
+  stats.bytes = designs.bytes;
   stats.budget_bytes = options_.cache_budget_bytes;
   stats.sg_cache_entries = sg_cache_.entries();
   stats.sg_cache_hits = sg_cache_.hits();
   stats.sg_cache_misses = sg_cache_.misses();
-  stats.decomp_hits = decomp_cache_.hits();
-  stats.decomp_misses = decomp_cache_.misses();
-  stats.decomp_evictions = decomp_cache_.evictions();
-  stats.decomp_entries = decomp_cache_.entries();
-  stats.decomp_bytes = decomp_cache_.bytes();
-  stats.gate_hits = gate_cache_.hits();
-  stats.gate_misses = gate_cache_.misses();
-  stats.gate_evictions = gate_cache_.evictions();
-  stats.gate_entries = gate_cache_.entries();
-  stats.gate_bytes = gate_cache_.bytes();
+  const CacheTierStats decomp = decomp_cache_.tier().stats();
+  stats.decomp_hits = decomp.hits;
+  stats.decomp_misses = decomp.misses;
+  stats.decomp_evictions = decomp.evictions;
+  stats.decomp_entries = decomp.entries;
+  stats.decomp_bytes = decomp.bytes;
+  const CacheTierStats gate = gate_cache_.tier().stats();
+  stats.gate_hits = gate.hits;
+  stats.gate_misses = gate.misses;
+  stats.gate_evictions = gate.evictions;
+  stats.gate_entries = gate.entries;
+  stats.gate_bytes = gate.bytes;
   if (disk_store_ != nullptr) {
     stats.disk_writes = disk_store_->writes();
     stats.disk_write_errors = disk_store_->write_errors();

@@ -17,18 +17,17 @@
 //     derive entry answers verify requests for free ("hit"). Mixed
 //     verify/derive traffic on one design holds one entry and runs
 //     decompose_flow once.
-//   - two finer cache levels under the whole-design key: a decomposition
+//   - two finer cache tiers under the whole-design key: a decomposition
 //     cache keyed on the canonical STG alone (svc::DecompCache — a
 //     netlist-only edit reuses the whole FlowDecomposition and skips the
 //     global-SG rebuild) and a gate-level slice cache keyed per
 //     (component × gate) job (svc::GateCache — an edited design
 //     re-expands only its delta).
-//   - LRU eviction by byte budget: entries are charged a calibrated
-//     estimate of their resident footprint (real container capacities, SSO
-//     and node overheads accounted; svc/footprint.hpp) and the
-//     least-recently-used ones are dropped when the sum exceeds
-//     ServiceOptions::cache_budget_bytes, which all three cache levels
-//     share with shed priority design > decomposition > gate slice.
+//   - LRU eviction by byte budget: all three tiers are svc::CacheTiers on
+//     one svc::CacheBudget of ServiceOptions::cache_budget_bytes, with shed
+//     priority design > decomposition > gate slice. Entries are charged a
+//     calibrated estimate of their resident footprint (real container
+//     capacities, SSO and node overheads accounted; svc/footprint.hpp).
 //   - single-flight deduplication per (entry, phase): N concurrent
 //     requests for the same design run each missing phase ONCE; a
 //     concurrent verify and derive share the parse + decompose work, with
@@ -41,7 +40,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,6 +55,7 @@
 #include "core/report.hpp"
 #include "sg/sg_cache.hpp"
 #include "stg/stg.hpp"
+#include "svc/cache_tier.hpp"
 #include "svc/decomp_cache.hpp"
 #include "svc/disk_store.hpp"
 #include "svc/gate_cache.hpp"
@@ -198,19 +197,18 @@ struct CacheStats {
   int sg_cache_entries = 0;  // cross-request state-graph cache
   long long sg_cache_hits = 0;
   long long sg_cache_misses = 0;
-  // Decomposition cache (the middle addressing level; see
-  // svc::DecompCache). hits/misses count decompose-phase lookups by
-  // canonical STG; bytes share budget_bytes, below designs and above
-  // gate slices in shed priority.
+  // Decomposition cache (the middle tier; see svc::DecompCache).
+  // hits/misses count decompose-phase lookups by canonical STG; bytes
+  // share budget_bytes, below designs and above gate slices in shed
+  // priority.
   long long decomp_hits = 0;
   long long decomp_misses = 0;
   long long decomp_evictions = 0;
   int decomp_entries = 0;
   std::size_t decomp_bytes = 0;
-  // Gate-level slice cache (the third addressing level; see
-  // svc::GateCache). hits/misses count per-job lookups across every flow
-  // the service ran; bytes are charged against the SAME budget_bytes as
-  // the design entries above, with designs taking priority.
+  // Gate-level slice cache (the lowest tier; see svc::GateCache).
+  // hits/misses count per-job lookups across every flow the service ran;
+  // bytes share budget_bytes and are shed before either tier above.
   long long gate_hits = 0;
   long long gate_misses = 0;
   long long gate_evictions = 0;
@@ -230,10 +228,12 @@ struct CacheStats {
 };
 
 struct ServiceOptions {
-  /// Byte budget of the design cache. An entry larger than the whole
-  /// budget is still served but not retained. 0 = cache disabled (every
-  /// request is a fresh run; single-flight still applies while the run is
-  /// in flight).
+  /// Byte budget shared by the design, decomposition and gate-slice cache
+  /// tiers (svc::CacheBudget; shed priority in that order). An entry
+  /// larger than its tier's allowance is still served but not retained.
+  /// 0 = every tier disabled (every request is a fresh run; single-flight
+  /// still applies while the run is in flight). The cross-request
+  /// sg::SgCache is bounded separately (see sg/sg_cache.hpp).
   std::size_t cache_budget_bytes = 256u << 20;
   /// Default per-request (component × gate) parallelism (FlowOptions
   /// semantics: 1 = serial, 0 = one per hardware thread).
@@ -242,26 +242,6 @@ struct ServiceOptions {
   /// shared pool.
   base::ThreadPool* pool = nullptr;
   core::ExpandOptions expand;  // part of the cache key
-  /// Bound on the cross-request state-graph cache: when a fresh run leaves
-  /// more than this many memoized graphs, the SG cache is flushed (a
-  /// coarse but safe valve — correctness is unaffected, the next flows
-  /// just rebuild their graphs). Without it a long-running server on
-  /// diverse traffic would grow without bound even under the design-cache
-  /// byte budget. 0 = unbounded.
-  int sg_cache_max_entries = 1 << 16;
-  /// Enables the gate-level slice cache (svc::GateCache): per-(component ×
-  /// gate) expansion products content-addressed independently of the
-  /// whole-design key, so an edited design re-expands only its delta. Its
-  /// bytes share cache_budget_bytes (designs take priority); disabled
-  /// automatically when cache_budget_bytes == 0.
-  bool gate_cache = true;
-  /// Enables the decomposition cache (svc::DecompCache): whole-design
-  /// FlowDecompositions keyed on the canonical STG alone, so a
-  /// netlist-only edit reuses the entire decomposition — global-SG
-  /// rebuild included — and re-enumerates only the job list. Its bytes
-  /// share cache_budget_bytes with shed priority design > decomposition >
-  /// gate slice; disabled automatically when cache_budget_bytes == 0.
-  bool decomp_cache = true;
   /// Directory of the persistent warm store (svc::DiskStore). Empty =
   /// persistence off. When set, terminal design entries (every request
   /// mode answered by resident phases) are spilled to
@@ -329,7 +309,6 @@ class AnalysisService {
  private:
   struct Entry;
   struct Parsed;
-  using LruList = std::list<std::shared_ptr<Entry>>;
 
   /// What one single-flight run (or bypass run) actually executed, for
   /// counters, histograms and trace spans. Captured by the runner while
@@ -372,8 +351,8 @@ class AnalysisService {
                   const core::CancelToken& cancel, std::string& error,
                   std::string& error_code, RunStats& run,
                   core::Phase& achieved, std::size_t& footprint);
-  /// Runner epilogue under mutex_: retention (inflight -> LRU or resident
-  /// re-charge), byte accounting and counter updates.
+  /// Runner epilogue under mutex_: retention (inflight -> design tier or
+  /// resident re-charge) and counter updates.
   void finish_run(const std::shared_ptr<Entry>& entry, bool from_scratch,
                   bool ok, core::Phase achieved, std::size_t footprint,
                   const RunStats& run);
@@ -393,29 +372,24 @@ class AnalysisService {
   /// the artifact durable. Best-effort: failures only bump the write
   /// error counter. No-op without a store.
   void maybe_spill(const std::shared_ptr<Entry>& entry);
-  void evict_overflow_locked();
-  /// Publishes design + decomposition bytes to upper_level_bytes_ and
-  /// sheds gate slices down to the allowance that leaves. Called wherever
-  /// either upper level's resident bytes change; lock-free (reads the
-  /// design mirror, not mutex_), so the runner hot path may call it after
-  /// a decomposition insert.
-  void refresh_gate_allowance();
+  /// Makes `entry` a resident design at `bytes` and sheds to fit the
+  /// budget; false when the design tier cannot admit it. Caller holds
+  /// mutex_ and has checked that the design is neither resident nor in
+  /// flight under another entry.
+  bool retain_locked(const std::shared_ptr<Entry>& entry, std::size_t bytes);
   void respond_from_locked(const Entry& entry, RequestMode mode,
                            const char* cache_state,
                            AnalysisResponse& out) const;
 
   ServiceOptions options_;
   sg::SgCache sg_cache_;  // cross-request SG memoization
-  /// Lock-free mirror of bytes_ (updated wherever bytes_ changes) so the
-  /// lower cache levels can size their dynamic allowances without taking
-  /// mutex_ on the job hot path. design_bytes_ bounds the decomposition
-  /// cache (allowance = budget - designs); upper_level_bytes_ adds the
-  /// decomposition cache's own bytes and bounds the gate cache
-  /// (allowance = budget - designs - decompositions) — the shed-priority
-  /// contract design > decomposition > gate slice in atomic form.
-  std::atomic<std::size_t> design_bytes_{0};
+  /// The three cache tiers, in shed-priority order (construction order is
+  /// the budget's tier order).
+  CacheBudget budget_;
+  /// Resident designs by canonical key, exact LRU. Changed only under
+  /// mutex_, so residency and inflight_ move together.
+  CacheTier<std::string, Entry> designs_;
   DecompCache decomp_cache_;  // STG-keyed decomposition cache
-  std::atomic<std::size_t> upper_level_bytes_{0};
   GateCache gate_cache_;  // per-(component × gate) slice cache
   /// Persistent warm store (--cache-dir); null = persistence off. Never
   /// touched under mutex_ or an entry mutex — spills encode under the
@@ -423,14 +397,11 @@ class AnalysisService {
   /// stall the serving path.
   std::unique_ptr<DiskStore> disk_store_;
 
-  mutable std::mutex mutex_;
-  LruList lru_;  // most-recently-used first
-  std::unordered_map<std::string, LruList::iterator> cache_;
+  std::mutex mutex_;
   /// Entries being built that are not (yet) resident: the rendezvous for
   /// single-flight on brand-new designs. Removed when their runner
-  /// finishes (moved into the LRU on success when the budget allows).
+  /// finishes (moved into the design tier on success when it admits them).
   std::unordered_map<std::string, std::shared_ptr<Entry>> inflight_;
-  std::size_t bytes_ = 0;
 
   /// Exception to the registry-owned rule: core::ExpandOptions carries a
   /// raw pointer to this atomic into the expansion hot loops, so the one
@@ -447,7 +418,6 @@ class AnalysisService {
   base::MetricCounter* misses_ = nullptr;
   base::MetricCounter* upgrades_ = nullptr;
   base::MetricCounter* coalesced_ = nullptr;
-  base::MetricCounter* evictions_ = nullptr;
   base::MetricCounter* failures_ = nullptr;
   base::MetricCounter* deadline_exceeded_ = nullptr;
   base::MetricCounter* decompose_runs_ = nullptr;

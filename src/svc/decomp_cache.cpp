@@ -34,88 +34,31 @@ std::size_t value_bytes(const std::string& key,
 
 }  // namespace
 
-DecompCache::DecompCache(std::size_t budget_bytes,
-                         const std::atomic<std::size_t>* reserved_bytes)
-    : budget_bytes_(budget_bytes), reserved_bytes_(reserved_bytes) {}
-
-std::size_t DecompCache::allowance() const {
-  const std::size_t reserved =
-      reserved_bytes_ != nullptr
-          ? reserved_bytes_->load(std::memory_order_relaxed)
-          : 0;
-  return budget_bytes_ > reserved ? budget_bytes_ - reserved : 0;
-}
-
 std::shared_ptr<const DecompCache::Value> DecompCache::lookup(
     const std::string& stg_canonical, bool have_circuit) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto found = index_.find(stg_canonical);
-    if (found != index_.end() &&
-        (have_circuit || found->second->value->synth_circuit != nullptr)) {
-      lru_.splice(lru_.begin(), lru_, found->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return found->second->value;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  return tier_.lookup(stg_canonical, [have_circuit](const Value& value) {
+    return have_circuit || value.synth_circuit != nullptr;
+  });
 }
 
 void DecompCache::insert(const std::string& stg_canonical, Value value) {
-  if (budget_bytes_ == 0) return;
   // Injected decomp_cache_insert fault: the flow that decomposed already
   // holds its artifacts, so skipping retention only costs a later
-  // re-decompose — the three-level analogue of gate_cache_insert.
+  // re-decompose — the three-tier analogue of gate_cache_insert.
   if (base::fault_fires(base::FaultPoint::decomp_cache_insert)) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto found = index_.find(stg_canonical);
-  if (found != index_.end()) {
-    // Upgrade in place: merge the synthesis products so whichever insert
-    // carried them wins, then recharge the node at its new size.
-    const std::shared_ptr<const Value>& resident = found->second->value;
-    if (value.synth_circuit == nullptr &&
-        resident->synth_circuit != nullptr) {
+  tier_.upsert(stg_canonical, [&](const Value* resident) {
+    // Whichever insert carried the synthesis products keeps them.
+    if (resident != nullptr && value.synth_circuit == nullptr) {
       value.synth_circuit = resident->synth_circuit;
       value.synth_eqn = resident->synth_eqn;
     }
     const std::size_t cost = value_bytes(stg_canonical, value);
-    bytes_.fetch_sub(found->second->bytes, std::memory_order_relaxed);
-    bytes_.fetch_add(cost, std::memory_order_relaxed);
-    found->second->value = std::make_shared<const Value>(std::move(value));
-    found->second->bytes = cost;
-    lru_.splice(lru_.begin(), lru_, found->second);
-    shed_to_locked(allowance());
-    return;
-  }
-  const std::size_t cost = value_bytes(stg_canonical, value);
-  if (cost > allowance()) return;  // would evict everything and still not fit
-  lru_.push_front(Node{stg_canonical,
-                       std::make_shared<const Value>(std::move(value)),
-                       cost});
-  index_[stg_canonical] = lru_.begin();
-  bytes_.fetch_add(cost, std::memory_order_relaxed);
-  shed_to_locked(allowance());
-}
-
-void DecompCache::shed_to_fit() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  shed_to_locked(allowance());
-}
-
-void DecompCache::shed_to_locked(std::size_t target) {
-  while (bytes_.load(std::memory_order_relaxed) > target && !lru_.empty()) {
-    const Node& victim = lru_.back();
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    index_.erase(victim.key);
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-int DecompCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(lru_.size());
+    return std::make_pair(std::make_shared<const Value>(std::move(value)),
+                          cost);
+  });
+  // The decomposition tier makes room among its own entries first; the
+  // gate slices below then fit what the designs and decompositions leave.
+  tier_.budget().shed_from(tier_);
 }
 
 }  // namespace sitime::svc

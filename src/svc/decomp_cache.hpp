@@ -1,11 +1,11 @@
-// The middle level of the three-level service cache: whole-design
+// The middle tier of the three-tier service cache: whole-design
 // FlowDecompositions keyed on the canonical STG text ALONE.
 //
-// The design cache (level 1) keys on STG + netlist + expand options, so a
-// netlist-only edit misses it and — without this cache — pays the full
-// decompose phase again: the global-SG BFS, the consistency check, the MG
-// component enumeration and every component projection. All of that is a
-// pure function of the STG; only the (component × gate) job list and the
+// The design tier keys on STG + netlist + expand options, so a netlist-only
+// edit misses it and — without this cache — pays the full decompose phase
+// again: the global-SG BFS, the consistency check, the MG component
+// enumeration and every component projection. All of that is a pure
+// function of the STG; only the (component × gate) job list and the
 // derive-side key material depend on the circuit. This cache stores the
 // STG-derived part once, and a hit re-targets it at the request's circuit
 // by re-enumerating the job list (core::enumerate_flow_jobs) — skipping
@@ -21,27 +21,20 @@
 // embed are pure functions of the STG, so warm runs never re-serialize
 // them, whatever circuit they bring.
 //
-// Budget: values are charged with the calibrated model in svc/footprint.hpp
-// (the pinned source STG and retained synthesized circuit included) against
-// the ONE service byte budget, with shed priority design > decomposition >
-// gate slice: this cache's allowance is whatever the resident design
-// entries leave free, and the gate cache fits inside what design +
-// decomposition entries leave. Like the gate cache there is no
-// single-flight — two flows racing on one STG both decompose and either
-// insert may win, the content address guaranteeing they built the same
-// value.
+// Storage is one exact-LRU svc::CacheTier, charged with the calibrated
+// model in svc/footprint.hpp (the pinned source STG and retained
+// synthesized circuit included) under the service's CacheBudget, below the
+// design tier and above the gate slices. There is no single-flight: two
+// flows racing on one STG both decompose and either insert may win, the
+// content address guaranteeing they built the same value.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "circuit/circuit.hpp"
 #include "core/flow.hpp"
+#include "svc/cache_tier.hpp"
 
 namespace sitime::svc {
 
@@ -65,20 +58,14 @@ class DecompCache {
     std::shared_ptr<const std::string> synth_eqn;
   };
 
-  /// `budget_bytes` is the shared service budget; `reserved_bytes` (may be
-  /// null) mirrors the bytes the design-level cache currently holds. The
-  /// decomposition cache keeps itself within budget_bytes -
-  /// *reserved_bytes at every insert and whenever shed_to_fit() is called.
-  /// budget_bytes == 0 disables retention (lookups all miss).
-  DecompCache(std::size_t budget_bytes,
-              const std::atomic<std::size_t>* reserved_bytes);
+  /// Joins `budget` as its next tier.
+  explicit DecompCache(CacheBudget& budget) : tier_(budget) {}
 
   /// Thread-safe; counts a hit or miss and refreshes LRU order on hit.
   /// `have_circuit` says whether the caller brings its own netlist: a
   /// caller without one can only be served by a value that retained the
   /// synthesized circuit, so a resident value without synthesis products
-  /// counts (and returns) as a miss for such a caller — the counters
-  /// always agree with what was actually served.
+  /// counts (and returns) as a miss for such a caller.
   std::shared_ptr<const Value> lookup(const std::string& stg_canonical,
                                       bool have_circuit);
 
@@ -91,45 +78,10 @@ class DecompCache {
   /// untouched.
   void insert(const std::string& stg_canonical, Value value);
 
-  /// Evicts LRU values until the cache fits the current dynamic allowance
-  /// (budget - reserved design bytes). The design cache calls this before
-  /// evicting any of its own entries — and after shedding gate slices —
-  /// so decompositions absorb budget pressure after gate slices but
-  /// before any resident whole-design entry.
-  void shed_to_fit();
-
-  long long hits() const { return hits_.load(std::memory_order_relaxed); }
-  long long misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  long long evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  std::size_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  int entries() const;
+  const CacheTierBase& tier() const { return tier_; }
 
  private:
-  struct Node {
-    std::string key;  // owned copy of the canonical STG text
-    std::shared_ptr<const Value> value;
-    std::size_t bytes = 0;
-  };
-
-  std::size_t allowance() const;
-  /// Pops LRU tails until bytes_ <= target. Caller holds mutex_.
-  void shed_to_locked(std::size_t target);
-
-  const std::size_t budget_bytes_;
-  const std::atomic<std::size_t>* reserved_bytes_;
-  mutable std::mutex mutex_;
-  std::list<Node> lru_;  // most-recently-used first
-  std::unordered_map<std::string, std::list<Node>::iterator> index_;
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<long long> hits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> evictions_{0};
+  CacheTier<std::string, const Value> tier_;
 };
 
 }  // namespace sitime::svc

@@ -1,5 +1,8 @@
 #include "svc/gate_cache.hpp"
 
+#include <cstdint>
+#include <utility>
+
 #include "base/fault.hpp"
 #include "svc/footprint.hpp"
 
@@ -27,106 +30,16 @@ std::size_t node_bytes(const core::GateJobKey& key,
 
 }  // namespace
 
-GateCache::GateCache(std::size_t budget_bytes,
-                     const std::atomic<std::size_t>* reserved_bytes)
-    : budget_bytes_(budget_bytes), reserved_bytes_(reserved_bytes) {}
-
-std::size_t GateCache::allowance() const {
-  const std::size_t reserved =
-      reserved_bytes_ != nullptr
-          ? reserved_bytes_->load(std::memory_order_relaxed)
-          : 0;
-  return budget_bytes_ > reserved ? budget_bytes_ - reserved : 0;
-}
-
-std::shared_ptr<const core::GateSlice> GateCache::lookup(
-    const core::GateJobKey& key) {
-  // High hash bits pick the shard (as in sg::SgCache) so the in-shard
-  // bucket index stays uniform within each shard.
-  Shard& shard = shards_[(key.hash >> 48) % kShardCount];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto bucket = shard.buckets.find(key.hash);
-    if (bucket != shard.buckets.end())
-      for (const auto& it : bucket->second)
-        if (it->key == key) {
-          shard.lru.splice(shard.lru.begin(), shard.lru, it);
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          return it->slice;
-        }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
 void GateCache::insert(const core::GateJobKey& key,
                        std::shared_ptr<const core::GateSlice> slice) {
   if (slice == nullptr) return;
   // Injected gate_cache_insert fault: the flow that computed the slice
   // already holds it, so skipping retention only costs a later recompute —
-  // the two-level analogue of the cache_insert point one level up.
+  // the gate-tier analogue of the cache_insert point two tiers up.
   if (base::fault_fires(base::FaultPoint::gate_cache_insert)) return;
   const std::size_t cost = node_bytes(key, *slice);
-  if (cost > allowance()) return;  // would evict everything and still not fit
-  Shard& shard = shards_[(key.hash >> 48) % kShardCount];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto& bucket = shard.buckets[key.hash];
-    for (const auto& it : bucket)
-      if (it->key == key) return;  // resident copy wins; both are equal
-    shard.lru.push_front(Node{key, std::move(slice), cost});
-    bucket.push_back(shard.lru.begin());
-  }
-  bytes_.fetch_add(cost, std::memory_order_relaxed);
-  shed_to_fit();
-}
-
-void GateCache::shed_to_fit() { shed_to(allowance()); }
-
-void GateCache::shed_to(std::size_t target) {
-  // Round-robin over the shards popping LRU tails: approximate global LRU
-  // without a global lock. A full silent sweep means every shard is empty
-  // (bytes_ only covers resident nodes), so the loop always terminates.
-  while (bytes_.load(std::memory_order_relaxed) > target) {
-    bool evicted_any = false;
-    const unsigned start =
-        shed_cursor_.fetch_add(1, std::memory_order_relaxed);
-    for (int i = 0; i < kShardCount; ++i) {
-      if (bytes_.load(std::memory_order_relaxed) <= target) return;
-      Shard& shard = shards_[(start + i) % kShardCount];
-      std::size_t freed = 0;
-      {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (shard.lru.empty()) continue;
-        const auto victim = std::prev(shard.lru.end());
-        auto bucket = shard.buckets.find(victim->key.hash);
-        if (bucket != shard.buckets.end()) {
-          auto& slots = bucket->second;
-          for (std::size_t s = 0; s < slots.size(); ++s)
-            if (slots[s] == victim) {
-              slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
-              break;
-            }
-          if (slots.empty()) shard.buckets.erase(bucket);
-        }
-        freed = victim->bytes;
-        shard.lru.erase(victim);
-      }
-      bytes_.fetch_sub(freed, std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      evicted_any = true;
-    }
-    if (!evicted_any) return;
-  }
-}
-
-int GateCache::entries() const {
-  int total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += static_cast<int>(shard.lru.size());
-  }
-  return total;
+  if (tier_.insert(key, std::move(slice), cost))
+    tier_.budget().shed_from(tier_);
 }
 
 }  // namespace sitime::svc

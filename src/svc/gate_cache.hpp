@@ -1,110 +1,61 @@
-// The second, finer level of the design cache: per-(MG component × gate)
-// job slices, content-addressed by core::gate_job_key().
+// The lowest tier of the three-tier service cache: per-(MG component ×
+// gate) job slices, content-addressed by core::gate_job_key().
 //
-// The whole-design cache (AnalysisService's PhaseArtifacts entries) only
+// The whole-design tier (AnalysisService's PhaseArtifacts entries) only
 // helps when a request's canonical content matches byte for byte; an editor
 // loop that touches one gate misses it every time. The gate cache catches
 // exactly that traffic: the edited design decomposes, every unchanged
 // gate's job key still hits here, and only the delta re-expands. The store
-// is deliberately dumber than the design cache — immutable values behind
+// is deliberately dumber than the design tier — immutable values behind
 // shared_ptr, no single-flight (two flows racing on one key both compute;
 // the content address guarantees they computed the same slice, so either
 // insert may win) — because a slice is cheap to recompute and the design
-// cache above already deduplicates whole requests.
+// tier above already deduplicates whole requests.
 //
-// Budget: gate entries are charged with the same calibrated footprint
-// model as design entries and share the ONE service byte budget. The split
-// is dynamic and design-entries-first: the gate cache's allowance is
-// whatever the resident design entries leave free (tracked lock-free via a
-// mirror of the design-side byte counter), a gate insert only ever evicts
-// gate entries, and design-side budget pressure sheds gate entries before
-// touching any resident design (AnalysisService::evict_overflow_locked).
-// So gate slices can never push a whole design out of residency.
-//
-// Concurrency: kShardCount independently locked shards selected by high
-// key-hash bits; each shard keeps its own LRU order, and shedding walks
-// the shards round-robin popping LRU tails (approximate global LRU —
-// exactness is not worth a global lock on the job hot path).
+// Storage is a 16-shard svc::CacheTier at the bottom of the service's
+// CacheBudget, so gate slices are shed first and can never push a design
+// or a decomposition out. The shards keep the job hot path off a global
+// lock; shedding pops their LRU tails round-robin.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "core/local_stg.hpp"
+#include "svc/cache_tier.hpp"
 
 namespace sitime::svc {
 
 class GateCache : public core::GateSliceStore {
  public:
-  /// `budget_bytes` is the shared service budget; `reserved_bytes` (may be
-  /// null) mirrors the bytes the design-level cache currently holds. The
-  /// gate cache keeps itself within budget_bytes - *reserved_bytes at
-  /// every insert and whenever shed_to_fit() is called.
-  GateCache(std::size_t budget_bytes,
-            const std::atomic<std::size_t>* reserved_bytes);
+  /// Joins `budget` as its next tier.
+  explicit GateCache(CacheBudget& budget) : tier_(budget, kShardCount) {}
 
   /// Thread-safe; counts a hit or miss and refreshes LRU order on hit.
   std::shared_ptr<const core::GateSlice> lookup(
-      const core::GateJobKey& key) override;
+      const core::GateJobKey& key) override {
+    return tier_.lookup(key);
+  }
 
   /// Thread-safe; duplicate keys keep the resident slice (both copies are
   /// equal by construction). Polls the gate_cache_insert fault point: a
   /// fired fault skips retention — the inserting flow already holds its
   /// slice, so correctness is untouched. Inserting may shed other gate
-  /// entries; it never touches the design-level cache.
+  /// entries; it never touches the tiers above.
   void insert(const core::GateJobKey& key,
               std::shared_ptr<const core::GateSlice> slice) override;
 
-  /// Evicts LRU gate entries until the cache fits the current dynamic
-  /// allowance (budget - reserved). The design cache calls this before
-  /// evicting any of its own entries, so gate slices absorb budget
-  /// pressure first.
-  void shed_to_fit();
-
-  long long hits() const { return hits_.load(std::memory_order_relaxed); }
-  long long misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  long long evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  std::size_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  int entries() const;
+  const CacheTierBase& tier() const { return tier_; }
 
  private:
-  struct Node {
-    core::GateJobKey key;
-    std::shared_ptr<const core::GateSlice> slice;
-    std::size_t bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Node> lru;  // most-recently-used first
-    std::unordered_map<std::uint64_t, std::vector<std::list<Node>::iterator>>
-        buckets;
+  struct KeyHash {
+    std::size_t operator()(const core::GateJobKey& key) const {
+      return key.hash;
+    }
   };
   static constexpr int kShardCount = 16;
 
-  std::size_t allowance() const;
-  /// Pops LRU tails round-robin until bytes_ <= target.
-  void shed_to(std::size_t target);
-
-  const std::size_t budget_bytes_;
-  const std::atomic<std::size_t>* reserved_bytes_;
-  Shard shards_[kShardCount];
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<long long> hits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> evictions_{0};
-  std::atomic<unsigned> shed_cursor_{0};
+  CacheTier<core::GateJobKey, const core::GateSlice, KeyHash> tier_;
 };
 
 }  // namespace sitime::svc

@@ -320,7 +320,7 @@ TEST(IncrementalService, EditedDesignReusesUnchangedGateSlices) {
   ASSERT_NE(delta.canonical_json, nullptr);
   for (int jobs : {1, 8}) {
     svc::ServiceOptions cold_options;
-    cold_options.gate_cache = false;
+    cold_options.cache_budget_bytes = 0;  // no cache tier at all
     svc::AnalysisService fresh(cold_options);
     const auto reference = fresh.analyze(
         derive_request(bench.name, bench.astg, mutated, jobs));
@@ -337,7 +337,7 @@ TEST(IncrementalService, EditedDesignReusesUnchangedGateSlices) {
   ASSERT_TRUE(parallel_delta.ok) << parallel_delta.error;
   ASSERT_NE(parallel_delta.canonical_json, nullptr);
   svc::ServiceOptions cold_options;
-  cold_options.gate_cache = false;
+  cold_options.cache_budget_bytes = 0;
   svc::AnalysisService fresh(cold_options);
   const auto reference =
       fresh.analyze(derive_request(bench.name, bench.astg, mutated2));
@@ -425,11 +425,10 @@ TEST(IncrementalService, NetlistOnlyEditReusesDecomposition) {
   EXPECT_EQ(after.decomp_misses, 1);
   EXPECT_EQ(after.decompose_runs, stats.decompose_runs);
 
-  // Byte-identical to a service that never had the decomposition cache.
+  // Byte-identical to a service that never had a cache tier.
   ASSERT_NE(delta.canonical_json, nullptr);
   svc::ServiceOptions off;
-  off.decomp_cache = false;
-  off.gate_cache = false;
+  off.cache_budget_bytes = 0;
   svc::AnalysisService fresh(off);
   const auto reference =
       fresh.analyze(derive_request(bench.name, bench.astg, mutated));
@@ -446,10 +445,9 @@ TEST(IncrementalService, ReportBytesIdenticalAcrossCacheTemperatures) {
   const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
   const std::string mutated = duplicate_first_cube(bench.eqn, "ack");
 
-  // Reference: every cache disabled, service-default worker count.
+  // Reference: every cache tier disabled, service-default worker count.
   svc::ServiceOptions off;
-  off.decomp_cache = false;
-  off.gate_cache = false;
+  off.cache_budget_bytes = 0;
   svc::AnalysisService cold_service(off);
   const auto reference =
       cold_service.analyze(derive_request(bench.name, bench.astg, mutated));
@@ -688,6 +686,94 @@ TEST(IncrementalService, GateCacheInsertFaultSkipsRetentionOnly) {
       service.analyze(derive_request(bench.name, bench.astg, mutated));
   ASSERT_TRUE(delta.ok) << delta.error;
   EXPECT_EQ(service.stats().gate_entries, 2 * total_jobs + 2);
+}
+
+/// The first `count` gate names of a canonical netlist (one equation a
+/// line, "gate = ...").
+std::vector<std::string> first_gates(const std::string& eqn,
+                                     std::size_t count) {
+  std::vector<std::string> gates;
+  for (std::size_t line = 0; line < eqn.size() && gates.size() < count;) {
+    gates.push_back(eqn.substr(line, eqn.find(" = ", line) - line));
+    const auto next = eqn.find('\n', line);
+    if (next == std::string::npos) break;
+    line = next + 1;
+  }
+  return gates;
+}
+
+/// A scripted editor session over three designs: verify then derive (a
+/// lazy upgrade), the synthesized netlist sent back explicitly, two
+/// single-gate edits, a netlist-free repeat, then the originals again.
+void edit_session(svc::AnalysisService& service) {
+  static const char* const kDesigns[] = {"imec-ram-read-sbuf", "chu133",
+                                         "fifo"};
+  for (const char* name : kDesigns) {
+    const auto& bench = benchdata::benchmark(name);
+    auto verify = derive_request(bench.name, bench.astg, bench.eqn);
+    verify.mode = svc::RequestMode::verify;
+    ASSERT_TRUE(service.analyze(verify).ok) << name;
+    const auto derived =
+        service.analyze(derive_request(bench.name, bench.astg, bench.eqn));
+    ASSERT_TRUE(derived.ok) << name;
+    ASSERT_NE(derived.netlist_eqn, nullptr);
+    const std::string eqn = *derived.netlist_eqn;
+    ASSERT_TRUE(
+        service.analyze(derive_request(bench.name, bench.astg, eqn)).ok);
+    for (const std::string& gate : first_gates(eqn, 2))
+      ASSERT_TRUE(service
+                      .analyze(derive_request(bench.name, bench.astg,
+                                              duplicate_first_cube(eqn, gate)))
+                      .ok)
+          << name << " " << gate;
+    ASSERT_TRUE(
+        service.analyze(derive_request(bench.name, bench.astg, "")).ok);
+  }
+  for (const char* name : kDesigns) {
+    const auto& bench = benchdata::benchmark(name);
+    ASSERT_TRUE(
+        service.analyze(derive_request(bench.name, bench.astg, bench.eqn))
+            .ok);
+  }
+}
+
+TEST(IncrementalService, TightBudgetEditSessionPinsEveryTiersCounters) {
+  // Calibrate on an unlimited budget, then replay the session under a
+  // fifth of what it left resident: tight enough that all three tiers
+  // evict. The counters are pinned, so any change to a charge, to the
+  // eviction order inside a tier, or to the shed order across tiers shows.
+  svc::AnalysisService wide;
+  ASSERT_NO_FATAL_FAILURE(edit_session(wide));
+  const svc::CacheStats wide_stats = wide.stats();
+  EXPECT_EQ(wide_stats.evictions + wide_stats.decomp_evictions +
+                wide_stats.gate_evictions,
+            0);
+
+  svc::ServiceOptions options;
+  options.cache_budget_bytes =
+      (wide_stats.bytes + wide_stats.decomp_bytes + wide_stats.gate_bytes) /
+      5;
+  svc::AnalysisService tight(options);
+  ASSERT_NO_FATAL_FAILURE(edit_session(tight));
+  const svc::CacheStats stats = tight.stats();
+  EXPECT_LE(stats.bytes + stats.decomp_bytes + stats.gate_bytes,
+            stats.budget_bytes);
+
+  EXPECT_EQ(stats.hits, 4);
+  EXPECT_EQ(stats.misses, 14);
+  EXPECT_EQ(stats.upgrades, 3);
+  EXPECT_EQ(stats.evictions, 9);
+  EXPECT_EQ(stats.entries, 5);
+
+  EXPECT_EQ(stats.decomp_hits, 6);
+  EXPECT_EQ(stats.decomp_misses, 8);
+  EXPECT_EQ(stats.decomp_evictions, 5);
+  EXPECT_EQ(stats.decomp_entries, 1);
+
+  EXPECT_EQ(stats.gate_hits, 11);
+  EXPECT_EQ(stats.gate_misses, 153);
+  EXPECT_EQ(stats.gate_evictions, 142);
+  EXPECT_EQ(stats.gate_entries, 0);
 }
 
 }  // namespace

@@ -581,6 +581,31 @@ TEST(Server, Ipv6LoopbackListenerServes) {
 #endif
 #endif
 
+/// Sends the plug request and waits (bounded) until a worker has dequeued
+/// it and entered the armed one-shot worker_stall. The fault point is
+/// polled only after dequeue, so unlike a fixed sleep this guarantees the
+/// plug is off the queue before the test sends its followers. A plug the
+/// age valve sheds at dequeue (a scheduler hiccup under a parallel test
+/// run) never stalls; its overloaded line is drained and it is resent.
+void plug_worker(TestClient& plug, const svc::Server& server) {
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const long long shed_before = server.requests_shed();
+    plug.send(bench_request_line("plug", "adfast"));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < give_up) {
+      if (svc::FaultInjector::instance().fired(
+              svc::FaultPoint::worker_stall) == 1)
+        return;
+      if (server.requests_shed() > shed_before) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    std::string shed;
+    ASSERT_TRUE(plug.read_line(shed));
+  }
+  FAIL() << "the plug request never reached the worker stall";
+}
+
 TEST(Server, DeadlineExceededIsStructuredFastAndLeavesTheServerServing) {
   if (!base::fault_injection_compiled_in())
     GTEST_SKIP() << "built without SITIME_FAULTS";
@@ -599,8 +624,7 @@ TEST(Server, DeadlineExceededIsStructuredFastAndLeavesTheServerServing) {
   ASSERT_TRUE(plug.connected());
   ASSERT_TRUE(probe.connected());
   svc::FaultScope stall(svc::FaultPoint::worker_stall, /*nth=*/1);
-  plug.send(bench_request_line("plug", "adfast"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_NO_FATAL_FAILURE(plug_worker(plug, harness.server));
   const auto start = std::chrono::steady_clock::now();
   probe.send(
       "{\"id\":\"probe\",\"design\":{\"bench\":\"adfast\"},"
@@ -659,8 +683,7 @@ TEST(Server, QueueDepthWatermarkShedsWithAnOverloadedResponse) {
   // the one-deep queue; whichever of the two followers arrives last is
   // shed at admission with the structured overloaded line.
   svc::FaultScope stall(svc::FaultPoint::worker_stall, /*nth=*/1);
-  plug.send(bench_request_line("plug", "adfast"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_NO_FATAL_FAILURE(plug_worker(plug, harness.server));
   second.send(bench_request_line("q1", "adfast"));
   third.send(bench_request_line("q2", "adfast"));
 
@@ -707,8 +730,8 @@ TEST(Server, QueueAgeValveShedsStaleRequestsAtDequeue) {
   // The follower queues behind the stalled (~40 ms) plug, so by the time
   // the worker reaches it, it has aged far past the 2 ms valve.
   svc::FaultScope stall(svc::FaultPoint::worker_stall, /*nth=*/1);
-  plug.send(bench_request_line("plug", "adfast"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_NO_FATAL_FAILURE(plug_worker(plug, harness.server));
+  const long long shed_before = harness.server.requests_shed();
   stale.send(bench_request_line("stale", "adfast"));
 
   std::string line;
@@ -717,7 +740,7 @@ TEST(Server, QueueAgeValveShedsStaleRequestsAtDequeue) {
   EXPECT_NE(line.find("\"code\":\"overloaded\""), std::string::npos)
       << line;
   EXPECT_NE(line.find("waited"), std::string::npos) << line;
-  EXPECT_GE(harness.server.requests_shed(), 1);
+  EXPECT_EQ(harness.server.requests_shed(), shed_before + 1);
   ASSERT_TRUE(plug.read_line(line));
   EXPECT_TRUE(response_ok(line)) << line;
 
