@@ -413,10 +413,12 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
                        ? decomposition.key_cache->verify_bases(build_bases)
                        : build_bases();
   }
-  sg::SgBuildOptions sg_build = options.sg_build;
-  sg_build.state_limit = sg::kDefaultSgStateLimit;
-  sg_build.token_limit = sg::kDefaultSgTokenLimit;
+  // Verify builds bypass the SG cache (each local STG is built once) but
+  // observe its latency sink.
+  sg::SgBuildOptions sg_build;
   sg_build.cancel = options.cancel;
+  if (options.sg_cache != nullptr)
+    sg_build.seconds = options.sg_cache->build_seconds();
   for_each_flow_job(
       decomposition,
       [&](const FlowJob& job) {

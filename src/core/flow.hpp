@@ -95,10 +95,12 @@ struct FlowOptions {
   /// one per process so repeated designs skip SG construction); null = a
   /// private per-run cache. FlowResult::cache_hits/misses report this
   /// run's delta, which is exact for a private cache and approximate when
-  /// other concurrent runs share the same cache.
+  /// other concurrent runs share the same cache. The verify phase builds
+  /// its local SGs directly, uncached, but observes the cache's
+  /// build_seconds() latency sink.
   sg::SgCache* sg_cache = nullptr;
   /// Cooperative cancellation, polled in every hot loop of the flow (job
-  /// dispatch, SG BFS frontiers, Expand relaxation steps). A cancelled
+  /// dispatch, SG BFS, Expand relaxation steps). A cancelled
   /// flow throws base::CancelledError; it never returns a partial result,
   /// and the shared SgCache only ever holds fully built graphs, so a
   /// later uncancelled run yields the canonical answer. Also copied into
@@ -114,14 +116,6 @@ struct FlowOptions {
   /// job-order merge makes a flow mixing cached and fresh slices
   /// byte-identical to a fully cold run at any worker count.
   GateSliceStore* gate_store = nullptr;
-  /// Construction knobs for the state graphs the verify phase builds
-  /// directly (workers != 1 turns on the frontier-parallel BFS). The
-  /// state/token limits and cancel of this member are ignored — the flow
-  /// always builds with the library defaults and its own `cancel` — and
-  /// the verdicts/constraints are byte-identical for every setting.
-  /// Expand-loop SG builds are configured on the SgCache instead
-  /// (sg::SgCache::set_build_options).
-  sg::SgBuildOptions sg_build;
 };
 
 /// One (MG component × gate) unit of flow work.

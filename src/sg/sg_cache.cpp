@@ -88,8 +88,9 @@ std::shared_ptr<const StateGraph> SgCache::get_or_build(
   // unless a racing builder beat us to it — adopt its graph in that case so
   // one canonical graph per key circulates.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  SgBuildOptions build = build_options_;
+  SgBuildOptions build;
   build.cancel = cancel;
+  build.seconds = build_seconds_;
   auto graph =
       std::make_shared<const StateGraph>(build_state_graph(mg, build));
   std::lock_guard<std::mutex> lock(shard.mutex);

@@ -20,6 +20,10 @@
 // monotonic atomics; hits + misses always equals the number of
 // get_or_build calls.
 //
+// Misses build with the library's default state/token limits — cached
+// graphs must not depend on who triggered the miss — and the caller's
+// cancel token.
+//
 // Bound: a shard that reaches 256 graphs is cleared before its next
 // insert, so the cache never holds more than 16 × 256 = 4 096 graphs. That
 // is a count bound, not a byte bound: the graphs are not charged to the
@@ -57,19 +61,14 @@ class SgCache {
   std::shared_ptr<const StateGraph> get_or_build(
       const stg::MgStg& mg, const base::CancelToken& cancel = {});
 
-  /// Construction knobs miss builds run with (frontier-parallel expansion,
-  /// latency sinks). The per-call `cancel` always wins over
-  /// `options.cancel`; the state/token limits stay at the library defaults
-  /// regardless of `options` — cached graphs must not depend on who
-  /// triggered the miss. Call before sharing the cache across threads
-  /// (a resident service sets it once at construction); the built graphs
-  /// are byte-identical for every setting, so late changes affect only
-  /// speed.
-  void set_build_options(const SgBuildOptions& options) {
-    build_options_ = options;
-    build_options_.state_limit = kDefaultSgStateLimit;
-    build_options_.token_limit = kDefaultSgTokenLimit;
+  /// Latency sink every miss build observes — and, through
+  /// core::FlowOptions::sg_cache, the verify phase's direct builds too
+  /// (null = none). Call before sharing the cache across threads (a
+  /// resident service sets it once at construction).
+  void set_build_seconds(base::MetricHistogram* seconds) {
+    build_seconds_ = seconds;
   }
+  base::MetricHistogram* build_seconds() const { return build_seconds_; }
 
   // 64-bit: a resident service (svc::AnalysisService) keeps one cache for
   // the process lifetime, where 32-bit counters would wrap under traffic.
@@ -94,7 +93,7 @@ class SgCache {
   static constexpr int kShardCount = 16;
 
   Shard shards_[kShardCount];
-  SgBuildOptions build_options_;
+  base::MetricHistogram* build_seconds_ = nullptr;
   std::atomic<long long> hits_{0};
   std::atomic<long long> misses_{0};
 };

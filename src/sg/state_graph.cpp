@@ -1,13 +1,11 @@
 #include "sg/state_graph.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
 #include "base/metrics.hpp"
-#include "base/thread_pool.hpp"
 
 namespace sitime::sg {
 
@@ -32,20 +30,6 @@ bool StateGraph::excites(const stg::MgStg& mg, int state, int signal,
 
 namespace {
 
-/// What a frontier worker found for one enabled (state, transition) pair:
-/// either a fired successor marking (error == none) or the error the serial
-/// build would throw at exactly this point. The serial merge replays the
-/// pairs in ascending (state, transition) order and raises the first error
-/// it meets, so parallel expansion can never reorder failures.
-enum class CandError : std::uint8_t { none, inconsistent, token_bound };
-
-struct Candidate {
-  int state = 0;
-  int transition = 0;
-  std::uint64_t code = 0;
-  CandError error = CandError::none;
-};
-
 [[noreturn]] void throw_token_bound() {
   fail(
       "build_state_graph: token bound exceeded (unsafe relaxation; "
@@ -69,9 +53,7 @@ StateGraph build_state_graph(const stg::MgStg& mg,
   if (base::fault_fires(base::FaultPoint::sg_build))
     base::injected_failure(base::FaultPoint::sg_build);
   const auto build_start = std::chrono::steady_clock::now();
-  const int state_limit = options.state_limit;
   const int token_limit = options.token_limit;
-  const base::CancelToken& cancel = options.cancel;
   const auto& arcs = mg.arcs();
   const int arc_count = static_cast<int>(arcs.size());
 
@@ -99,9 +81,7 @@ StateGraph build_state_graph(const stg::MgStg& mg,
   graph.states.reset(arc_count, token_limit + 1);
   std::vector<int> m0(arc_count);
   for (int i = 0; i < arc_count; ++i) {
-    check(arcs[i].tokens <= token_limit,
-          "build_state_graph: token bound exceeded (unsafe relaxation; "
-          "does the gate have redundant literals?)");
+    if (arcs[i].tokens > token_limit) throw_token_bound();
     m0[i] = arcs[i].tokens;
   }
   graph.states.insert(m0);
@@ -114,36 +94,15 @@ StateGraph build_state_graph(const stg::MgStg& mg,
   }
   fire.seal();
 
-  base::ThreadPool* pool = nullptr;
-  int workers = options.workers;
-  if (workers != 1) {
-    pool = options.pool != nullptr ? options.pool : &base::ThreadPool::shared();
-    if (workers <= 0) workers = pool->worker_count() + 1;
-  }
-  const bool parallel = workers > 1;
-
   // States are discovered in BFS order and expanded in id order, so the
   // per-state edge runs land consecutively: CSR adjacency falls out of the
   // exploration. Rows are sorted by transition id because `alive` ascends.
   const int words = graph.states.words_per_marking();
   std::vector<std::uint64_t> current(words);
   std::vector<std::uint64_t> next(words);
-
-  // out_offsets[s] = out_data size when s's edges begin. States are merged
-  // in ascending order, so every not-yet-offset state up to s starts here.
-  int offsets_done = 0;
-  const auto begin_state = [&](int state) {
-    while (offsets_done <= state) {
-      graph.out_offsets.push_back(static_cast<int>(graph.out_data.size()));
-      ++offsets_done;
-    }
-  };
-
-  // The serial expansion of one state — the canonical order every mode
-  // must reproduce: transitions fire in ascending id (`alive` ascends) and
-  // successors are inserted (numbered) immediately.
-  const auto expand_serial = [&](int state) {
-    begin_state(state);
+  for (int state = 0; state < graph.state_count(); ++state) {
+    if ((state & 0xff) == 0) options.cancel.poll("state graph build");
+    graph.out_offsets.push_back(static_cast<int>(graph.out_data.size()));
     // Copy out of the arena: insert_packed below may reallocate it.
     const std::uint64_t* packed = graph.states.packed(state);
     std::copy(packed, packed + words, current.begin());
@@ -163,7 +122,7 @@ StateGraph build_state_graph(const stg::MgStg& mg,
       const auto [succ, inserted] = graph.states.insert_packed(next.data());
       if (inserted) {
         graph.codes.push_back(next_code);
-        check(graph.state_count() <= state_limit,
+        check(graph.state_count() <= options.state_limit,
               "build_state_graph: state limit exceeded");
       } else {
         check(graph.codes[succ] == next_code,
@@ -171,111 +130,13 @@ StateGraph build_state_graph(const stg::MgStg& mg,
       }
       graph.out_data.emplace_back(t, succ);
     }
-  };
-
-  if (!parallel) {
-    for (int state = 0; state < graph.state_count(); ++state) {
-      if ((state & 0xff) == 0) cancel.poll("state graph build");
-      expand_serial(state);
-    }
-  } else {
-    // Level-synchronous frontier parallelism. A BFS level is a contiguous
-    // id range [level_begin, level_end): the serial build numbers every
-    // successor of level L before expanding any state of level L+1, so
-    // levels tile the id space. Workers expand disjoint frontier chunks —
-    // the arena and codes are frozen during expansion (no inserts) — and
-    // record per-(state, transition) candidates; a serial merge then
-    // replays the candidates in ascending (state, transition) order,
-    // numbering fresh markings exactly as the serial build would.
-    constexpr int kChunk = 64;
-    std::vector<std::vector<Candidate>> heads;
-    std::vector<std::vector<std::uint64_t>> cand_words;
-    int level_begin = 0;
-    while (level_begin < graph.state_count()) {
-      const int level_end = graph.state_count();
-      const int frontier = level_end - level_begin;
-      if (frontier < options.frontier_threshold) {
-        for (int state = level_begin; state < level_end; ++state) {
-          if ((state & 0xff) == 0) cancel.poll("state graph build");
-          expand_serial(state);
-        }
-        level_begin = level_end;
-        continue;
-      }
-      const int chunks = (frontier + kChunk - 1) / kChunk;
-      heads.assign(chunks, {});
-      cand_words.assign(chunks, {});
-      pool->parallel_for(
-          0, chunks,
-          [&](int chunk) {
-            cancel.poll("state graph build");
-            const int begin = level_begin + chunk * kChunk;
-            const int end = std::min(level_end, begin + kChunk);
-            std::vector<std::uint64_t> cur(words);
-            std::vector<std::uint64_t> nxt(words);
-            std::vector<Candidate>& out = heads[chunk];
-            std::vector<std::uint64_t>& out_words = cand_words[chunk];
-            for (int state = begin; state < end; ++state) {
-              const std::uint64_t* packed = graph.states.packed(state);
-              std::copy(packed, packed + words, cur.begin());
-              for (int t : alive) {
-                if (!fire.enabled(t, cur.data())) continue;
-                const stg::TransitionLabel& label = mg.label(t);
-                const bool value = (graph.codes[state] >> label.signal) & 1;
-                if (value == label.rising) {
-                  out.push_back({state, t, 0, CandError::inconsistent});
-                  continue;
-                }
-                fire.fire(t, cur.data(), nxt.data());
-                if (fire.max_output_tokens(t, nxt.data()) > token_limit) {
-                  out.push_back({state, t, 0, CandError::token_bound});
-                  continue;
-                }
-                const std::uint64_t code =
-                    graph.codes[state] ^ (std::uint64_t{1} << label.signal);
-                out.push_back({state, t, code, CandError::none});
-                out_words.insert(out_words.end(), nxt.begin(), nxt.end());
-              }
-            }
-          },
-          /*grain=*/1, /*max_tasks=*/workers);
-      // Stable merge: chunks ascend over the frontier and candidates
-      // ascend within each chunk, so this is the serial (state, t) order.
-      for (int chunk = 0; chunk < chunks; ++chunk) {
-        std::size_t word_at = 0;
-        for (const Candidate& cand : heads[chunk]) {
-          begin_state(cand.state);
-          check(cand.error != CandError::inconsistent,
-                "build_state_graph: inconsistent firing of '" +
-                    mg.transition_text(cand.transition) + "'");
-          if (cand.error == CandError::token_bound) throw_token_bound();
-          const auto [succ, inserted] =
-              graph.states.insert_packed(cand_words[chunk].data() + word_at);
-          word_at += words;
-          if (inserted) {
-            graph.codes.push_back(cand.code);
-            check(graph.state_count() <= state_limit,
-                  "build_state_graph: state limit exceeded");
-          } else {
-            check(graph.codes[succ] == cand.code,
-                  "build_state_graph: inconsistent codes for one marking");
-          }
-          graph.out_data.emplace_back(cand.transition, succ);
-        }
-      }
-      begin_state(level_end - 1);  // states whose row stayed empty
-      level_begin = level_end;
-    }
   }
-  begin_state(graph.state_count() - 1);
   graph.out_offsets.push_back(static_cast<int>(graph.out_data.size()));
 
-  base::MetricHistogram* sink =
-      parallel ? options.parallel_seconds : options.serial_seconds;
-  if (sink != nullptr)
-    sink->observe(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - build_start)
-                      .count());
+  if (options.seconds != nullptr)
+    options.seconds->observe(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - build_start)
+                                 .count());
   return graph;
 }
 

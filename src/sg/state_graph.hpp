@@ -4,6 +4,9 @@
 //  - build_state_graph(): the SG of a local (marked-graph) STG, used by the
 //    hazard criterion of Section 5.4. States are arc markings plus a binary
 //    signal code; building checks consistency (rising/falling alternation).
+//    One serial BFS on the calling thread: local SGs are small (hundreds
+//    to about a thousand states), and parallelism lives one level up, in
+//    the flow's per-(component × gate) jobs.
 //  - build_global_sg(): the SG of the full implementation STG (a possibly
 //    free-choice net), used by the synthesis substrate and for the "number
 //    of states" column of Table 7.2. Signal values are inferred from the
@@ -32,7 +35,6 @@
 
 namespace sitime::base {
 class MetricHistogram;
-class ThreadPool;
 }  // namespace sitime::base
 
 namespace sitime::sg {
@@ -74,50 +76,31 @@ struct StateGraph {
 inline constexpr int kDefaultSgStateLimit = 200000;
 inline constexpr int kDefaultSgTokenLimit = 6;
 
-/// Construction knobs for build_state_graph. Every combination of
-/// workers / pool / frontier_threshold yields a byte-identical StateGraph
-/// (same state numbering, codes, and CSR rows): the parallel mode expands
-/// one BFS level at a time and merges the per-state candidate lists in the
-/// serial (state, transition) order, so discovery order — and therefore
-/// every state id — never depends on scheduling.
+/// Construction knobs for build_state_graph.
 struct SgBuildOptions {
   int state_limit = kDefaultSgStateLimit;
   int token_limit = kDefaultSgTokenLimit;
-  /// Polled every 256 states (serial) / once per frontier chunk
-  /// (parallel); a fired token throws base::CancelledError.
+  /// Polled every 256 states; a fired token throws base::CancelledError.
   base::CancelToken cancel;
-  /// Frontier expansion concurrency: 1 = serial on the calling thread
-  /// (default), 0 = one body per pool worker plus the caller, N > 1 = at
-  /// most N concurrent bodies.
-  int workers = 1;
-  /// Pool carrying the frontier chunks; null = base::ThreadPool::shared().
-  /// Ignored while workers == 1.
-  base::ThreadPool* pool = nullptr;
-  /// BFS levels narrower than this expand serially even in parallel mode
-  /// (fan-out overhead would dominate); the default keeps small local SGs
-  /// entirely serial.
-  int frontier_threshold = 64;
-  /// Build-latency sinks by configured mode (parallel = workers != 1),
-  /// observed once per build when non-null. The service registers these as
-  /// sitime_sg_build_seconds{mode="serial"|"parallel"}.
-  base::MetricHistogram* serial_seconds = nullptr;
-  base::MetricHistogram* parallel_seconds = nullptr;
+  /// Build-latency sink, observed once per completed build when non-null
+  /// (the service registers it as sitime_sg_build_seconds).
+  base::MetricHistogram* seconds = nullptr;
 };
 
-/// Exhaustive reachability of the local STG. `mg.initial_values` must be set
-/// for every signal that has an alive transition. Throws on inconsistent
-/// firing (a+ from a state where a = 1), when a state/token bound is
-/// exceeded (a symptom of relaxing a gate with redundant literals, Lemma 2),
-/// or when a transition has no input arc. The BFS polls `cancel` every 256
-/// states (base::CancelledError).
+/// Exhaustive reachability of the local STG: one serial BFS that numbers
+/// states in discovery order. `mg.initial_values` must be set for every
+/// signal that has an alive transition. Throws on inconsistent firing (a+
+/// from a state where a = 1), when a state/token bound is exceeded (a
+/// symptom of relaxing a gate with redundant literals, Lemma 2), or when a
+/// transition has no input arc. The BFS polls `cancel` every 256 states
+/// (base::CancelledError).
 StateGraph build_state_graph(const stg::MgStg& mg,
                              int state_limit = kDefaultSgStateLimit,
                              int token_limit = kDefaultSgTokenLimit,
                              const base::CancelToken& cancel = {});
 
-/// Same reachability with the full knob set — frontier-parallel BFS when
-/// options.workers != 1, byte-identical to the serial build (see
-/// SgBuildOptions).
+/// Same reachability, configured by `options` (limits, cancel, latency
+/// sink).
 StateGraph build_state_graph(const stg::MgStg& mg,
                              const SgBuildOptions& options);
 

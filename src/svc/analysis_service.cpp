@@ -207,17 +207,10 @@ AnalysisService::AnalysisService(ServiceOptions options)
   if (!options_.cache_dir.empty())
     disk_store_ = std::make_unique<DiskStore>(options_.cache_dir);
   register_metrics();
-  // Every SG build a flow runs through the cross-request cache observes
-  // the mode-labelled build histograms; the workers knob follows the
-  // service default (per-request jobs configure the verify phase's direct
-  // builds via flow_options instead — SgCache build options are set once,
-  // before the cache is shared across threads).
-  sg::SgBuildOptions sg_build;
-  sg_build.workers = options_.jobs;
-  sg_build.pool = options_.pool;
-  sg_build.serial_seconds = sg_build_seconds_[0];
-  sg_build.parallel_seconds = sg_build_seconds_[1];
-  sg_cache_.set_build_options(sg_build);
+  // Every SG build the flows run — SgCache misses and, through
+  // flow_options().sg_cache, the verify phase's direct builds — observes
+  // the build-latency histogram. Set before the cache is shared.
+  sg_cache_.set_build_seconds(sg_build_seconds_);
 }
 
 AnalysisService::~AnalysisService() = default;
@@ -279,17 +272,9 @@ void AnalysisService::register_metrics() {
     }
   }
 
-  const char* kSgBuild = "sitime_sg_build_seconds";
-  const char* kSgBuildHelp =
-      "State-graph build latency by construction mode: mode=serial is the "
-      "canonical single-thread BFS, mode=parallel the level-synchronous "
-      "frontier-parallel build (byte-identical output).";
-  sg_build_seconds_[0] = &metrics_.histogram(
-      kSgBuild, kSgBuildHelp,
-      base::MetricHistogram::default_latency_bounds(), "mode=\"serial\"");
-  sg_build_seconds_[1] = &metrics_.histogram(
-      kSgBuild, kSgBuildHelp,
-      base::MetricHistogram::default_latency_bounds(), "mode=\"parallel\"");
+  sg_build_seconds_ = &metrics_.histogram(
+      "sitime_sg_build_seconds", "Local state-graph build latency.",
+      base::MetricHistogram::default_latency_bounds());
 
   // Scrape-time callbacks over the authoritative atomics that live
   // outside the registry. Owner tag `this`: the registry is a member, so
@@ -403,12 +388,6 @@ core::FlowOptions AnalysisService::flow_options(
   options.jobs = request_jobs > 0 ? request_jobs : options_.jobs;
   options.pool = options_.pool;
   options.sg_cache = &sg_cache_;
-  // The verify phase's direct SG builds follow the request's parallelism
-  // and observe the same mode-labelled histograms as the SgCache builds.
-  options.sg_build.workers = options.jobs;
-  options.sg_build.pool = options_.pool;
-  options.sg_build.serial_seconds = sg_build_seconds_[0];
-  options.sg_build.parallel_seconds = sg_build_seconds_[1];
   if (options_.cache_budget_bytes > 0) options.gate_store = &gate_cache_;
   options.cancel = cancel;
   return options;

@@ -429,10 +429,9 @@ class AnalysisService {
   /// derive][source 0 = cold, 1 = upgrade]. parse never upgrades, so
   /// [0][1] stays null.
   base::MetricHistogram* phase_seconds_[4][2] = {};
-  /// State-graph build latency by construction mode ([0] = serial, [1] =
-  /// frontier-parallel BFS), wired into every SG build the flows run
-  /// (SgCache misses and the verify phase's direct builds).
-  base::MetricHistogram* sg_build_seconds_[2] = {};
+  /// Local state-graph build latency, wired into every SG build the flows
+  /// run (SgCache misses and the verify phase's direct builds).
+  base::MetricHistogram* sg_build_seconds_ = nullptr;
 };
 
 }  // namespace sitime::svc

@@ -43,68 +43,6 @@ stg::MgStg ring_stg(SignalTable& table, int signals) {
   return mg;
 }
 
-/// A fork-join diamond: a+ forks N concurrent rises p0+..pN-1+, which
-/// join into a-, forking N concurrent falls joining back into a+ (token on
-/// every pi- => a+ arc). The BFS frontier mid-diamond holds C(N, k)
-/// interleavings, so every level crosses a forced frontier threshold of 1
-/// and the parallel expansion really runs wide.
-stg::MgStg diamond_stg(SignalTable& table, int width) {
-  table = SignalTable();
-  const int a = table.add("a", SignalKind::input);
-  std::vector<int> ids;
-  for (int p = 0; p < width; ++p)
-    ids.push_back(table.add("p" + std::to_string(p), SignalKind::input));
-  stg::MgStg mg(&table);
-  const int a_rise = mg.add_transition(TransitionLabel{a, true, 1});
-  const int a_fall = mg.add_transition(TransitionLabel{a, false, 1});
-  for (int p = 0; p < width; ++p) {
-    const int rise = mg.add_transition(TransitionLabel{ids[p], true, 1});
-    const int fall = mg.add_transition(TransitionLabel{ids[p], false, 1});
-    mg.insert_arc(a_rise, rise, 0);
-    mg.insert_arc(rise, a_fall, 0);
-    mg.insert_arc(a_fall, fall, 0);
-    mg.insert_arc(fall, a_rise, 1);
-  }
-  mg.initial_values.assign(1 + width, 0);
-  return mg;
-}
-
-TEST(SgBuild, ParallelFrontierMatchesSerialStateNumberingExactly) {
-  // The acceptance contract of the frontier-parallel builder: the same
-  // StateGraph — state numbering, codes, CSR rows — at ANY worker count,
-  // frontier threshold, or pool, element for element. Under TSan this
-  // also stresses the per-level merge for races.
-  SignalTable table;
-  const stg::MgStg mg = diamond_stg(table, 8);
-  const sg::StateGraph serial = sg::build_state_graph(mg);
-  // 2^8 interleavings per half-diamond plus the two join states.
-  ASSERT_EQ(serial.state_count(), 2 * 256);
-
-  base::ThreadPool pool(8);
-  struct Config {
-    int workers;
-    int threshold;
-  };
-  for (const Config config :
-       {Config{8, 1}, Config{8, 64}, Config{0, 1}, Config{2, 4}}) {
-    for (int round = 0; round < 4; ++round) {
-      SgBuildOptions options;
-      options.workers = config.workers;
-      options.pool = &pool;
-      options.frontier_threshold = config.threshold;
-      const sg::StateGraph parallel = sg::build_state_graph(mg, options);
-      ASSERT_EQ(parallel.state_count(), serial.state_count())
-          << "workers=" << config.workers
-          << " threshold=" << config.threshold;
-      EXPECT_EQ(parallel.codes, serial.codes);
-      EXPECT_EQ(parallel.out_offsets, serial.out_offsets);
-      EXPECT_EQ(parallel.out_data, serial.out_data);
-      for (int s = 0; s < serial.state_count(); ++s)
-        ASSERT_EQ(parallel.marking(s), serial.marking(s)) << "state " << s;
-    }
-  }
-}
-
 TEST(SgCache, HitMissAccountingIsExact) {
   SignalTable table2, table3;
   const stg::MgStg small = ring_stg(table2, 2);

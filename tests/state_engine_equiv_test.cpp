@@ -5,10 +5,14 @@
 // copy-and-rebuild Expand loop — is re-implemented here as the reference,
 // and every entry of the embedded benchmark suite is pushed through both
 // paths. The packed engine must agree exactly: state counts, state ids,
-// markings, codes, adjacency, and the emitted constraint sets.
+// markings, codes, adjacency, and the emitted constraint sets. Synthetic
+// fork-join diamonds add local SGs with wider BFS levels than the suite
+// has. This suite is the reference for any change to the numbering of
+// sg::build_state_graph.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -334,6 +338,54 @@ core::ConstraintSet legacy_constraints(const stg::Stg& impl,
 
 // ---- the suite ------------------------------------------------------------
 
+/// The packed local SG of `local` must equal the legacy one element for
+/// element: state ids, markings, codes, and adjacency rows.
+void expect_local_sg_matches_legacy(const stg::MgStg& local) {
+  const LegacyStateGraph legacy = legacy_build_state_graph(local);
+  const sg::StateGraph packed = sg::build_state_graph(local);
+  ASSERT_EQ(packed.state_count(), static_cast<int>(legacy.markings.size()));
+  ASSERT_EQ(packed.out_offsets.size(), legacy.markings.size() + 1);
+  for (int s = 0; s < packed.state_count(); ++s) {
+    EXPECT_EQ(packed.marking(s), legacy.markings[s]);
+    EXPECT_EQ(packed.codes[s], legacy.codes[s]);
+    const auto row = packed.out(s);
+    ASSERT_EQ(row.size(), legacy.out[s].size()) << "state " << s;
+    for (std::size_t e = 0; e < row.size(); ++e) {
+      EXPECT_EQ(row[e], legacy.out[s][e]);
+      // The sorted successor index must agree with the row.
+      EXPECT_EQ(packed.successor(s, row[e].first), row[e].second);
+    }
+  }
+}
+
+/// A fork-join diamond: a+ forks `width` concurrent rises p0+..pN-1+,
+/// which join into a-, forking N concurrent falls joining back into a+
+/// (token on every pi- => a+ arc). Its SG has 2^(N+1) states, and the BFS
+/// level k steps into either half holds C(N, k) interleavings, so width 9
+/// reaches 1 024 states with a widest level of C(9, 4) = 126 — wider than
+/// any level of the bundled suite's local SGs.
+stg::MgStg diamond_stg(stg::SignalTable& table, int width) {
+  table = stg::SignalTable();
+  const int a = table.add("a", stg::SignalKind::input);
+  std::vector<int> ids;
+  for (int p = 0; p < width; ++p)
+    ids.push_back(table.add("p" + std::to_string(p), stg::SignalKind::input));
+  stg::MgStg mg(&table);
+  const int a_rise = mg.add_transition(stg::TransitionLabel{a, true, 1});
+  const int a_fall = mg.add_transition(stg::TransitionLabel{a, false, 1});
+  for (int p = 0; p < width; ++p) {
+    const int rise = mg.add_transition(stg::TransitionLabel{ids[p], true, 1});
+    const int fall =
+        mg.add_transition(stg::TransitionLabel{ids[p], false, 1});
+    mg.insert_arc(a_rise, rise, 0);
+    mg.insert_arc(rise, a_fall, 0);
+    mg.insert_arc(a_fall, fall, 0);
+    mg.insert_arc(fall, a_rise, 1);
+  }
+  mg.initial_values.assign(1 + width, 0);
+  return mg;
+}
+
 class StateEngineEquiv : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StateEngineEquiv, ReachabilityMatchesLegacy) {
@@ -373,24 +425,8 @@ TEST_P(StateEngineEquiv, LocalStateGraphsMatchLegacy) {
   for (const pn::MgComponent& component : pn::mg_components(stg.net)) {
     const stg::MgStg component_stg =
         core::mg_from_component(stg, component, values);
-    for (const circuit::Gate& gate : circuit.gates()) {
-      const stg::MgStg local = core::local_stg(component_stg, gate);
-      const LegacyStateGraph legacy = legacy_build_state_graph(local);
-      const sg::StateGraph packed = sg::build_state_graph(local);
-      ASSERT_EQ(packed.state_count(),
-                static_cast<int>(legacy.markings.size()));
-      for (int s = 0; s < packed.state_count(); ++s) {
-        EXPECT_EQ(packed.marking(s), legacy.markings[s]);
-        EXPECT_EQ(packed.codes[s], legacy.codes[s]);
-        const auto row = packed.out(s);
-        ASSERT_EQ(row.size(), legacy.out[s].size());
-        for (std::size_t e = 0; e < row.size(); ++e) {
-          EXPECT_EQ(row[e], legacy.out[s][e]);
-          // The sorted successor index must agree with the row.
-          EXPECT_EQ(packed.successor(s, row[e].first), row[e].second);
-        }
-      }
-    }
+    for (const circuit::Gate& gate : circuit.gates())
+      expect_local_sg_matches_legacy(core::local_stg(component_stg, gate));
   }
 }
 
@@ -418,6 +454,20 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, StateEngineEquiv,
                            for (char& c : name)
                              if (c == '-') c = '_';
                            return name;
+                         });
+
+class DiamondEquiv : public ::testing::TestWithParam<int> {};
+
+TEST_P(DiamondEquiv, LocalStateGraphMatchesLegacy) {
+  stg::SignalTable table;
+  const stg::MgStg mg = diamond_stg(table, GetParam());
+  ASSERT_EQ(sg::build_state_graph(mg).state_count(), 2 << GetParam());
+  expect_local_sg_matches_legacy(mg);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, DiamondEquiv, ::testing::Range(1, 10),
+                         [](const auto& info) {
+                           return "width" + std::to_string(info.param);
                          });
 
 }  // namespace

@@ -21,6 +21,10 @@ two classes:
     up for *seconds* metrics, DOWN for *speedup* ratios (a shrinking
     delta-path speedup means the warm path got slower relative to cold).
     The rest are shown unflagged. None of these ever fail the job.
+    Timings are only comparable between runs on equal cores: when the
+    baseline's and the fresh run's top-level "hardware_concurrency"
+    differ, changed timing rows read "not comparable (N→M cores)" and are
+    never flagged.
   - DETERMINISTIC metrics — constraint counts, job/subtask counts,
     determinism flags, entry counts. These must not drift with the
     hardware; ANY change is flagged, and fails the job under --strict.
@@ -65,8 +69,15 @@ VOLATILE_MARKERS = (
 )
 
 
+TIMING_MARKERS = ("seconds", "speedup", "requests_per_sec")
+
+
 def is_volatile(path: str) -> bool:
     return any(marker in path for marker in VOLATILE_MARKERS)
+
+
+def is_timing(path: str) -> bool:
+    return any(marker in path for marker in TIMING_MARKERS)
 
 
 def main() -> int:
@@ -102,6 +113,9 @@ def main() -> int:
             fresh = {}
             flatten(json.load(f), "", fresh)
 
+        cores = (base.get("hardware_concurrency"),
+                 fresh.get("hardware_concurrency"))
+        incomparable = None not in cores and cores[0] != cores[1]
         rows = []
         for path in sorted(set(base) | set(fresh)):
             b, f_ = base.get(path), fresh.get(path)
@@ -112,7 +126,9 @@ def main() -> int:
             if b == f_:
                 continue
             delta = (f_ - b) / b * 100.0 if b != 0 else float("inf")
-            if is_volatile(path):
+            if incomparable and is_timing(path):
+                flag = f"not comparable ({cores[0]:g}→{cores[1]:g} cores)"
+            elif is_volatile(path):
                 # Timings regress UP; speedup ratios (the delta-path's
                 # cold/warm quotient) regress DOWN.
                 if "seconds" in path and delta > args.threshold:
