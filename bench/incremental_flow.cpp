@@ -1,20 +1,20 @@
 // Editor-loop benchmark for the warm-path caches: mutate one gate per
 // iteration and re-run the flow, comparing cold (no caches — every edit
-// re-decomposes, re-keys, and re-expands every (component × gate) job)
-// against delta (the service's warm path: the STG-keyed decomposition
-// cache skips the global-SG rebuild, the shared FlowKeyCache skips the
-// key serialization, and the warm svc::GateCache re-expands only the
-// edited gate's jobs). Emits one JSON document (committed as
-// BENCH_incremental.json at the repo root) with a per-phase breakdown
-// (decompose / keying / expand / render seconds) for both lanes.
+// re-decomposes and expands every (component × gate) job against a
+// private state-graph cache) against delta (the service's warm path: the
+// STG-keyed decomposition cache skips the global-SG rebuild, and the
+// process-wide sg::SgCache serves the state graphs the re-expansion asks
+// for). Emits one JSON document (committed as BENCH_incremental.json at
+// the repo root) with a per-phase breakdown (decompose / expand / render
+// seconds) for both lanes.
 //
 // The loop models a designer iterating on one gate of a finished design:
 // the STG is parsed once and stays fixed; each iteration re-parses the
 // edited netlist and re-derives the constraints. The edit is the one
 // tests/incremental_test.cpp uses — duplicate the first cube of the
 // target gate's equation — so the gate's function (and with it the
-// constraint sets) is unchanged while its job keys, and the whole-design
-// key, differ on every iteration.
+// constraint sets) is unchanged while the whole-design key differs on
+// every iteration.
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -27,7 +27,7 @@
 #include "circuit/circuit.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
-#include "svc/gate_cache.hpp"
+#include "sg/sg_cache.hpp"
 
 namespace {
 
@@ -75,7 +75,6 @@ std::string mutate(const std::string& eqn, const std::string& gate,
 /// Accumulated per-phase wall time of one lane's edit stream.
 struct PhaseBreakdown {
   double decompose_seconds = 0.0;  // global SG + MG decomposition
-  double keying_seconds = 0.0;     // ComponentKeyBase serialization
   double expand_seconds = 0.0;     // the (component × gate) job graph
   double render_seconds = 0.0;     // report assembly + text/JSON render
 };
@@ -93,12 +92,10 @@ struct DesignRow {
 
 void print_phases(const char* prefix, const PhaseBreakdown& phases) {
   std::printf("\"%s_decompose_seconds\": %.6f, "
-              "\"%s_keying_seconds\": %.6f, "
               "\"%s_expand_seconds\": %.6f, "
               "\"%s_render_seconds\": %.6f",
               prefix, phases.decompose_seconds, prefix,
-              phases.keying_seconds, prefix, phases.expand_seconds, prefix,
-              phases.render_seconds);
+              phases.expand_seconds, prefix, phases.render_seconds);
 }
 
 }  // namespace
@@ -128,13 +125,12 @@ int main() {
     // one cached decomposition and only re-targets its job list.
     const auto run_edit = [&](const core::FlowDecomposition& decomposition,
                               const circuit::Circuit& edited,
-                              core::GateSliceStore* store,
+                              sg::SgCache* sg_cache,
                               PhaseBreakdown& phases) {
       core::FlowOptions options;
-      options.gate_store = store;
+      options.sg_cache = sg_cache;
       const core::FlowResult result = core::derive_timing_constraints(
           decomposition, stg, edited, options);
-      phases.keying_seconds += result.keying_seconds;
       phases.expand_seconds += result.expand_seconds;
       const auto render_start = Clock::now();
       const core::FlowReport report =
@@ -144,8 +140,8 @@ int main() {
       if (rendered.json_body.empty()) std::abort();  // keep the render live
     };
 
-    // Cold: every edit pays netlist parse + decompose + keying + full
-    // expansion + render.
+    // Cold: every edit pays netlist parse + decompose + full expansion
+    // (with a fresh private SG cache) + render.
     const auto cold_start = Clock::now();
     for (int round = 1; round <= kRounds; ++round)
       for (const std::string& gate : gates) {
@@ -160,23 +156,21 @@ int main() {
     row.cold_seconds = seconds_since(cold_start);
 
     // Delta: decompose ONCE (the decomposition cache's hit — the STG
-    // never changes in the edit stream), prime the gate store with the
+    // never changes in the edit stream), prime a shared SG cache with the
     // unedited design, then replay the same edit stream. Each edit
-    // re-targets the cached decomposition's job list at its circuit; the
-    // shared FlowKeyCache keeps the key bases warm, and unchanged gates
-    // hit their cached slices. The store is the real service cache as the
-    // only tier of its budget, so the whole budget is slices.
-    svc::CacheBudget budget(64 * 1024 * 1024);
-    svc::GateCache store(budget);
+    // re-targets the cached decomposition's job list at its circuit, and
+    // its expansion finds the state graphs of the unchanged local STGs in
+    // the shared cache, as a resident service's does.
+    sg::SgCache sg_cache;
     const core::FlowDecomposition cached =
         core::decompose_flow(stg, circuit);
     {
       core::FlowOptions options;
-      options.gate_store = &store;
+      options.sg_cache = &sg_cache;
       core::derive_timing_constraints(cached, stg, circuit, options);
     }
-    const long long primed_hits = store.tier().stats().hits;
-    const long long primed_misses = store.tier().stats().misses;
+    const long long primed_hits = sg_cache.hits();
+    const long long primed_misses = sg_cache.misses();
     const auto delta_start = Clock::now();
     for (int round = 1; round <= kRounds; ++round)
       for (const std::string& gate : gates) {
@@ -188,11 +182,11 @@ int main() {
             static_cast<int>(decomposition.component_stgs.size()),
             static_cast<int>(edited.gates().size()));
         row.delta.decompose_seconds += seconds_since(retarget_start);
-        run_edit(decomposition, edited, &store, row.delta);
+        run_edit(decomposition, edited, &sg_cache, row.delta);
       }
     row.delta_seconds = seconds_since(delta_start);
-    const long long hits = store.tier().stats().hits - primed_hits;
-    const long long misses = store.tier().stats().misses - primed_misses;
+    const long long hits = sg_cache.hits() - primed_hits;
+    const long long misses = sg_cache.misses() - primed_misses;
     row.hit_rate = hits + misses > 0
                        ? static_cast<double>(hits) /
                              static_cast<double>(hits + misses)
@@ -225,7 +219,7 @@ int main() {
     const DesignRow& row = rows[i];
     std::printf("    {\"design\": \"%s\", \"gates\": %d, \"edits\": %d, "
                 "\"cold_seconds\": %.6f, \"delta_seconds\": %.6f, "
-                "\"speedup\": %.2f, \"gate_hit_rate\": %.4f,\n",
+                "\"speedup\": %.2f, \"sg_cache_hit_rate\": %.4f,\n",
                 row.design.c_str(), row.gates, row.edits, row.cold_seconds,
                 row.delta_seconds,
                 row.delta_seconds > 0 ? row.cold_seconds / row.delta_seconds

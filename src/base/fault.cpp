@@ -24,7 +24,6 @@ const char* fault_point_name(FaultPoint point) {
     case FaultPoint::decompose: return "decompose";
     case FaultPoint::sg_build: return "sg_build";
     case FaultPoint::cache_insert: return "cache_insert";
-    case FaultPoint::gate_cache_insert: return "gate_cache_insert";
     case FaultPoint::transport_write: return "transport_write";
     case FaultPoint::worker_stall: return "worker_stall";
     case FaultPoint::decomp_cache_insert: return "decomp_cache_insert";

@@ -3,14 +3,11 @@
 // unless CMake defines SITIME_FAULT_INJECTION (option SITIME_FAULTS,
 // default ON so the checked-in test suites exercise the paths).
 //
-// Eight injection points cover the layers a request crosses:
+// Nine injection points cover the layers a request crosses:
 //   parse           AnalysisService request parsing
 //   decompose       core::run_decompose_phase entry
 //   sg_build        sg::build_state_graph entry
 //   cache_insert    AnalysisService::finish_run retention
-//   gate_cache_insert  svc::GateCache::insert retention (the slice is
-//                   still served to its own flow, it just is not kept —
-//                   mirrors cache_insert one level down)
 //   transport_write SocketChannel::write_line (drops the response,
 //                   simulating a client that vanished mid-write)
 //   worker_stall    svc::Server worker_loop before the handler runs
@@ -19,8 +16,8 @@
 //                   queue-timing tests)
 //   decomp_cache_insert  svc::DecompCache::insert retention (the
 //                   decomposition is still served to its own run, it
-//                   just is not kept — mirrors gate_cache_insert one
-//                   cache level up)
+//                   just is not kept — mirrors cache_insert one cache
+//                   tier down)
 //   disk_store_write  svc::DiskStore::save (the spill is dropped and
 //                   counted as a write error; the in-memory entry and
 //                   the response are untouched — persistence is always
@@ -55,20 +52,21 @@
 
 namespace sitime::base {
 
+// The values are fixed: the seeded mode hashes them, so a point keeps its
+// fire schedule across releases. New points take fresh values and a
+// retired point's value stays reserved (4 was gate_cache_insert).
 enum class FaultPoint : int {
   parse = 0,
-  decompose,
-  sg_build,
-  cache_insert,
-  gate_cache_insert,
-  transport_write,
-  worker_stall,
-  // Appended (not inserted) so seeded-mode fire schedules of the
-  // pre-existing points stay stable across releases.
-  decomp_cache_insert,
-  disk_store_write,
-  disk_store_load,
+  decompose = 1,
+  sg_build = 2,
+  cache_insert = 3,
+  transport_write = 5,
+  worker_stall = 6,
+  decomp_cache_insert = 7,
+  disk_store_write = 8,
+  disk_store_load = 9,
 };
+/// One past the largest FaultPoint value (the injector's slot count).
 inline constexpr int kFaultPointCount = 10;
 
 /// Thrown by throwing injection points. Deliberately NOT a subclass of

@@ -16,12 +16,7 @@ constexpr int kInitialCapacity = 64;  // power of two
 }  // namespace
 
 std::uint64_t MarkingSet::hash_words(const std::uint64_t* words, int count) {
-  return hash_words(words, count, kFnvOffset);
-}
-
-std::uint64_t MarkingSet::hash_words(const std::uint64_t* words, int count,
-                                     std::uint64_t seed) {
-  std::uint64_t hash = seed;
+  std::uint64_t hash = kFnvOffset;
   for (int i = 0; i < count; ++i) {
     // Byte-at-a-time FNV-1a keeps the classic avalanche behaviour; the
     // word loop stays branch-light and the compiler unrolls it.

@@ -70,11 +70,6 @@ class MarkingSet {
 
   /// FNV-1a over `count` words (shared with the SG cache key hashing).
   static std::uint64_t hash_words(const std::uint64_t* words, int count);
-  /// Continues an FNV-1a digest: hash_words(a+b) ==
-  /// hash_words(b, seeded with hash_words(a)). Lets a key built from a
-  /// shared prefix hash only its own suffix.
-  static std::uint64_t hash_words(const std::uint64_t* words, int count,
-                                  std::uint64_t seed);
 
  private:
   int probe(const std::uint64_t* words, std::uint64_t hash) const;

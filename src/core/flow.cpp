@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <optional>
 
 #include "base/error.hpp"
 #include "core/local_stg.hpp"
@@ -48,43 +47,6 @@ int effective_jobs(int jobs) {
 
 }  // namespace
 
-std::vector<ComponentKeyBase> FlowKeyCache::verify_bases(
-    const std::function<std::vector<ComponentKeyBase>()>& build) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (has_verify_) return verify_;
-  }
-  // Built outside the lock (serialization dominates); a racing builder's
-  // copy is identical content, so last-writer-wins is harmless.
-  std::vector<ComponentKeyBase> bases = build();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!has_verify_) {
-    verify_ = bases;
-    has_verify_ = true;
-  }
-  return verify_;
-}
-
-std::vector<ComponentKeyBase> FlowKeyCache::derive_bases(
-    int order, int max_steps, int max_depth,
-    const std::function<std::vector<ComponentKeyBase>()>& build) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const DeriveEntry& entry : derive_)
-      if (entry.order == order && entry.max_steps == max_steps &&
-          entry.max_depth == max_depth)
-        return entry.bases;
-  }
-  std::vector<ComponentKeyBase> bases = build();
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const DeriveEntry& entry : derive_)
-    if (entry.order == order && entry.max_steps == max_steps &&
-        entry.max_depth == max_depth)
-      return entry.bases;
-  derive_.push_back(DeriveEntry{order, max_steps, max_depth, bases});
-  return bases;
-}
-
 std::vector<FlowJob> enumerate_flow_jobs(int components, int gates) {
   std::vector<FlowJob> jobs;
   jobs.reserve(static_cast<std::size_t>(components) * gates);
@@ -112,16 +74,14 @@ FlowDecomposition decompose_flow(const stg::Stg& impl,
   decomposition.jobs = enumerate_flow_jobs(
       static_cast<int>(decomposition.component_stgs.size()),
       static_cast<int>(circuit.gates().size()));
-  decomposition.key_cache = std::make_shared<FlowKeyCache>();
   return decomposition;
 }
 
 namespace {
 
 /// The dispatch skeleton under for_each_local_stg, minus the projection:
-/// derive/verify consult the gate-slice store *before* projecting (a hit
-/// skips the projection, the dominant per-job cost on warm runs), so they
-/// drive this directly and project inside `visit` only on a miss.
+/// verify drives it directly so a job past the first offender returns
+/// before it projects.
 void for_each_flow_job(const FlowDecomposition& decomposition,
                        const std::function<bool(const FlowJob&)>& visit,
                        int jobs, base::ThreadPool* pool,
@@ -209,19 +169,7 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
   }
   result.gate_count = static_cast<int>(circuit.gates().size());
 
-  // The adversary analysis precomputes successor tables over the whole
-  // implementation STG — a serial per-run cost a warm run never needs
-  // (memoized derive bases embed the weight matrix, and cached slices skip
-  // the baseline loop). Built lazily, at most once, only when a miss
-  // actually asks for a weight; call_once keeps the build safe under the
-  // parallel job graph.
-  std::optional<circuit::AdversaryAnalysis> adversary_storage;
-  std::once_flag adversary_once;
-  const auto adversary = [&]() -> const circuit::AdversaryAnalysis* {
-    std::call_once(adversary_once,
-                   [&] { adversary_storage.emplace(&impl); });
-    return &*adversary_storage;
-  };
+  const circuit::AdversaryAnalysis adversary(&impl);
   sg::SgCache private_cache;  // per-run fallback when none is supplied
   // Shared by every job of this flow — and, via options.sg_cache, across
   // flow runs of a resident service.
@@ -255,97 +203,28 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
     int subtasks = 0;
   };
   std::vector<JobOutput> outputs(decomposition.jobs.size());
-  // A relaxation trace records the actual loop, which a cached slice would
-  // skip wholesale — tracing runs bypass the gate store entirely.
-  GateSliceStore* gate_store =
-      options.expand.trace == nullptr ? options.gate_store : nullptr;
-  std::atomic<int> gate_hits{0};
-  std::atomic<int> gate_misses{0};
-  // One key base per component, stamped into every job key below: jobs of
-  // one component share everything but the gate suffix, and computing the
-  // base here keeps the per-job lookup cheap enough that a hit skips the
-  // projection itself.
-  std::vector<ComponentKeyBase> derive_bases;
-  const auto keying_start = std::chrono::steady_clock::now();
-  if (gate_store != nullptr) {
-    const auto build_bases = [&] {
-      std::vector<ComponentKeyBase> bases;
-      bases.reserve(decomposition.component_stgs.size());
-      for (const stg::MgStg& component : decomposition.component_stgs)
-        bases.push_back(component_key_base(
-            component, adversary(), static_cast<int>(expand_options.order),
-            expand_options.max_steps, expand_options.max_depth));
-      return bases;
-    };
-    // The memoized bases are self-contained (they own their words), so a
-    // decomposition served from a cache hands them out without touching
-    // the adversary at all.
-    derive_bases = decomposition.key_cache != nullptr
-                       ? decomposition.key_cache->derive_bases(
-                             static_cast<int>(expand_options.order),
-                             expand_options.max_steps,
-                             expand_options.max_depth, build_bases)
-                       : build_bases();
-  }
-  result.keying_seconds = seconds_since(keying_start);
   const auto expand_start = std::chrono::steady_clock::now();
-  for_each_flow_job(
-      decomposition,
-      [&](const FlowJob& job) {
+  for_each_local_stg(
+      decomposition, circuit,
+      [&](const FlowJob& job, stg::MgStg local) {
         JobOutput& out = outputs[job.index];
         const circuit::Gate& gate = circuit.gates()[job.gate];
-        GateJobKey key;
-        if (gate_store != nullptr) {
-          key = gate_job_key(derive_bases[job.component], gate);
-          if (auto slice = gate_store->lookup(key);
-              slice != nullptr && slice->has_constraints) {
-            out.before = slice->before;
-            out.after = slice->after;
-            out.steps = slice->steps;
-            out.subtasks = slice->subtasks;
-            // Re-charge the producing run's steps so a warm flow faces the
-            // same per-flow max_steps bound a cold one did — reuse must
-            // never let a design sneak under a budget it would trip cold.
-            if (step_budget.fetch_add(slice->steps,
-                                      std::memory_order_relaxed) +
-                    slice->steps >
-                expand_options.max_steps)
-              throw ExpandLimitError("expand: step limit exceeded");
-            gate_hits.fetch_add(1, std::memory_order_relaxed);
-            return true;
-          }
-          gate_misses.fetch_add(1, std::memory_order_relaxed);
-        }
-        stg::MgStg local = local_stg(
-            decomposition.component_stgs[job.component], gate);
         // Baseline: every type-4 arc is an adversary-path condition.
         for (int index : relaxable_arcs(local, gate.output)) {
           const stg::MgArc& arc = local.arcs()[index];
           out.before.emplace(
               TimingConstraint{gate.output, local.label(arc.from),
                                local.label(arc.to)},
-              adversary()->weight(local.label(arc.from),
-                                  local.label(arc.to)));
+              adversary.weight(local.label(arc.from), local.label(arc.to)));
         }
-        Expander expander(adversary(), expand_options, &cache, &step_budget);
+        Expander expander(&adversary, expand_options, &cache, &step_budget);
         expander.expand(std::move(local), gate, out.after);
         out.steps = expander.steps();
         out.subtasks = expander.subtasks();
-        if (gate_store != nullptr) {
-          auto slice = std::make_shared<GateSlice>();
-          slice->has_constraints = true;
-          slice->before = out.before;
-          slice->after = out.after;
-          slice->steps = out.steps;
-          slice->subtasks = out.subtasks;
-          gate_store->insert(key, std::move(slice));
-        }
         return true;
       },
       result.jobs, options.pool, options.cancel);
   result.expand_seconds = seconds_since(expand_start);
-  result.gate_hits = gate_hits.load(std::memory_order_relaxed);
-  result.gate_misses = gate_misses.load(std::memory_order_relaxed);
 
   for (const JobOutput& out : outputs) {
     // emplace keeps the first weight seen for a duplicate constraint,
@@ -399,20 +278,6 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
   // The smallest offending job index wins, so the answer is stable for any
   // schedule (and matches the serial early-exit order).
   std::atomic<int> first_bad{std::numeric_limits<int>::max()};
-  GateSliceStore* gate_store = options.gate_store;
-  std::vector<ComponentKeyBase> verify_bases;
-  if (gate_store != nullptr) {
-    const auto build_bases = [&] {
-      std::vector<ComponentKeyBase> bases;
-      bases.reserve(decomposition.component_stgs.size());
-      for (const stg::MgStg& component : decomposition.component_stgs)
-        bases.push_back(component_key_base(component, /*adversary=*/nullptr));
-      return bases;
-    };
-    verify_bases = decomposition.key_cache != nullptr
-                       ? decomposition.key_cache->verify_bases(build_bases)
-                       : build_bases();
-  }
   // Verify builds bypass the SG cache (each local STG is built once) but
   // observe its latency sink.
   sg::SgBuildOptions sg_build;
@@ -425,29 +290,10 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
         if (job.index > first_bad.load(std::memory_order_relaxed))
           return true;  // cannot improve the answer
         const circuit::Gate& gate = circuit.gates()[job.gate];
-        bool conformant;
-        GateJobKey key;
-        std::shared_ptr<const GateSlice> cached;
-        if (gate_store != nullptr) {
-          key = gate_job_key(verify_bases[job.component], gate);
-          cached = gate_store->lookup(key);
-          if (cached != nullptr && !cached->has_verify) cached = nullptr;
-        }
-        if (cached != nullptr) {
-          conformant = cached->conformant;
-        } else {
-          const stg::MgStg local = local_stg(
-              decomposition.component_stgs[job.component], gate);
-          const sg::StateGraph graph = sg::build_state_graph(local, sg_build);
-          conformant = timing_conformant(graph, local, gate);
-          if (gate_store != nullptr) {
-            auto slice = std::make_shared<GateSlice>();
-            slice->has_verify = true;
-            slice->conformant = conformant;
-            gate_store->insert(key, std::move(slice));
-          }
-        }
-        if (conformant) return true;
+        const stg::MgStg local =
+            local_stg(decomposition.component_stgs[job.component], gate);
+        const sg::StateGraph graph = sg::build_state_graph(local, sg_build);
+        if (timing_conformant(graph, local, gate)) return true;
         int current = first_bad.load(std::memory_order_relaxed);
         while (job.index < current &&
                !first_bad.compare_exchange_weak(current, job.index)) {

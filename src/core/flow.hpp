@@ -17,7 +17,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,21 +63,9 @@ struct FlowResult {
   int peak_active_bodies = 1;
   int cache_hits = 0;       // shared SgCache statistics
   int cache_misses = 0;
-  /// Gate-slice cache statistics of THIS run (0 when FlowOptions has no
-  /// gate_store): jobs whose constraint slice was served from the store vs
-  /// jobs that ran their expansion. A reused slice still contributes its
-  /// recorded expand_steps/expand_subtasks to the counters above — and
-  /// re-charges the shared step budget — so a warm run reads (and is
-  /// bounded) like the cold run that produced the slices.
-  int gate_hits = 0;
-  int gate_misses = 0;
   double seconds = 0.0;     // end to end
   double decompose_seconds = 0.0;  // global SG + MG decomposition
   double expand_seconds = 0.0;     // the (component × gate) job graph
-  /// Spent acquiring the per-component ComponentKeyBase prefixes (adversary
-  /// weight matrix included) — ~0 when FlowDecomposition::key_cache already
-  /// holds them, the serial key-serialization tail otherwise.
-  double keying_seconds = 0.0;
 };
 
 /// Worker-count and scheduling knobs for the flow.
@@ -106,16 +93,6 @@ struct FlowOptions {
   /// later uncancelled run yields the canonical answer. Also copied into
   /// expand.cancel (an explicitly set expand.cancel wins).
   CancelToken cancel;
-  /// Per-(component × gate) slice cache consulted before every expansion
-  /// and verify job (null = none). Keys are computed from the component
-  /// and the gate — never from the projection — so a job whose
-  /// gate_job_key() hits reuses the cached slice without even building
-  /// its local STG; misses project and publish their product
-  /// after the job completes, so even a later-cancelled flow leaves its
-  /// finished jobs' slices behind for an incremental retry. The stable
-  /// job-order merge makes a flow mixing cached and fresh slices
-  /// byte-identical to a fully cold run at any worker count.
-  GateSliceStore* gate_store = nullptr;
 };
 
 /// One (MG component × gate) unit of flow work.
@@ -123,40 +100,6 @@ struct FlowJob {
   int index = -1;      // stable merge position: component * gates + gate
   int component = -1;  // index into FlowDecomposition::component_stgs
   int gate = -1;       // index into Circuit::gates()
-};
-
-/// Memoized per-component key material, shared by every flow run on one
-/// decomposition (copies of a FlowDecomposition share it through the
-/// key_cache shared_ptr). ComponentKeyBase serialization — and for the
-/// derive side the full adversary-weight matrix it embeds — is the serial
-/// keying tail of a warm run; computing it once per decomposition and
-/// handing out the shared prefixes turns that tail into a lookup.
-/// ComponentKeyBase owns its words (shared_ptr), so memoized bases are
-/// self-contained: no lifetime tie to any AdversaryAnalysis or STG.
-/// Thread-safe; both getters fill the cache on first use via `build`.
-class FlowKeyCache {
- public:
-  /// The verify-phase bases (adversary-free), built on first call.
-  std::vector<ComponentKeyBase> verify_bases(
-      const std::function<std::vector<ComponentKeyBase>()>& build);
-
-  /// The derive-phase bases for one (order, max_steps, max_depth) knob
-  /// tuple, built on first call per tuple.
-  std::vector<ComponentKeyBase> derive_bases(
-      int order, int max_steps, int max_depth,
-      const std::function<std::vector<ComponentKeyBase>()>& build);
-
- private:
-  struct DeriveEntry {
-    int order = 0;
-    int max_steps = 0;
-    int max_depth = 0;
-    std::vector<ComponentKeyBase> bases;
-  };
-  std::mutex mutex_;
-  bool has_verify_ = false;
-  std::vector<ComponentKeyBase> verify_;
-  std::vector<DeriveEntry> derive_;  // a handful of knob tuples at most
 };
 
 /// The shared, read-only part of the flow every job starts from.
@@ -170,9 +113,6 @@ struct FlowDecomposition {
   /// service's decomposition cache) stays valid. May be null when the
   /// caller guarantees the source STG outlives every copy.
   std::shared_ptr<const stg::Stg> source;
-  /// Memoized component key bases (set by decompose_flow); copies share
-  /// it, so a cached decomposition keeps its keys warm across requests.
-  std::shared_ptr<FlowKeyCache> key_cache;
 };
 
 /// The stable component-major job order of decompose_flow, reusable to
@@ -241,11 +181,9 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
                                      base::ThreadPool* pool = nullptr,
                                      const CancelToken& cancel = {});
 
-/// Same, honouring options.gate_store: each job's conformance verdict is
-/// looked up before its state graph is built and published afterwards (the
-/// verify-phase keys exclude adversary weights and expand knobs — the
-/// verdict depends on neither). Only jobs/pool/cancel/gate_store of
-/// `options` participate.
+/// Same, with the worker knobs and cancel token of `options`; its SgCache,
+/// when set, only lends the verify builds its build_seconds() latency sink.
+/// The expand options do not participate.
 std::string verify_speed_independent(const FlowDecomposition& decomposition,
                                      const circuit::Circuit& circuit,
                                      const FlowOptions& options);

@@ -8,13 +8,9 @@
 // isochronic fork assumption and are candidates for relaxation.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "circuit/adversary.hpp"
 #include "circuit/circuit.hpp"
-#include "core/constraint.hpp"
 #include "pn/hack.hpp"
 #include "stg/marked_graph.hpp"
 #include "stg/stg.hpp"
@@ -46,115 +42,5 @@ ArcType classify_arc(const stg::MgStg& mg, const stg::MgArc& arc,
 /// Indices into mg.arcs() of all type (4) arcs of kind `normal` (i.e. not
 /// yet guaranteed and not order-restriction arcs), in stable order.
 std::vector<int> relaxable_arcs(const stg::MgStg& mg, int gate_signal);
-
-// ---- per-(component × gate) content addressing ----------------------------
-// The second, finer level of the design cache: every (MG component × gate)
-// expansion job is a pure function of its MG component, the gate it
-// expands against (local_stg() derives the projection from exactly those
-// two), and (for the derive phase) the adversary weights of the
-// component's transition pairs plus the expand policy knobs.
-// gate_job_key() packs exactly that into a canonical word vector, so an
-// edited design whose whole-design hash misses can still reuse every
-// unchanged gate's cached product and recompute only the delta. Keying on
-// the component instead of the projection is deliberately finer — two
-// components that project to the same local STG key apart, which only
-// costs sharing, never soundness — and it means a hit skips the
-// projection itself, the dominant per-job cost on warm runs.
-
-/// Precomputed canonical prefix shared by every job key of one MG
-/// component (see component_key_base below). `hash` is the FNV-1a digest
-/// of `words`; job keys continue it over their gate suffix, so stamping a
-/// key never re-hashes the component content.
-struct ComponentKeyBase {
-  std::shared_ptr<const std::vector<std::uint64_t>> words;
-  std::uint64_t hash = 0;
-};
-
-/// Canonical identity of one (component × gate) job: the shared component
-/// prefix plus the gate suffix. The full word content is compared
-/// verbatim on lookup — hash collisions cannot alias two jobs — but the
-/// prefix lives behind a shared_ptr, so keys of one run share it and the
-/// common case compares a pointer, not kilobytes.
-struct GateJobKey {
-  ComponentKeyBase base;
-  std::vector<std::uint64_t> gate_words;
-  std::uint64_t hash = 0;  // over base.words then gate_words
-
-  bool operator==(const GateJobKey& other) const {
-    if (hash != other.hash || gate_words != other.gate_words) return false;
-    if (base.words == other.base.words) return true;  // shared prefix
-    return base.words != nullptr && other.base.words != nullptr &&
-           *base.words == *other.base.words;
-  }
-};
-
-/// The cached product of one job. A verify-phase job records the
-/// timing-conformance verdict of the initial local STG; a derive-phase job
-/// records its slice of the flow's constraint sets plus the expansion
-/// statistics the producing run observed (steps also re-charge the shared
-/// step budget on reuse, so a warm flow faces the same defensive bound a
-/// cold one did). The two phases key differently (the verdict does not
-/// depend on adversary weights or expand options), so a slice carries
-/// exactly one side.
-struct GateSlice {
-  // verify
-  bool has_verify = false;
-  bool conformant = false;
-  // derive
-  bool has_constraints = false;
-  ConstraintSet before;  // adversary-path baseline of this job
-  ConstraintSet after;   // relaxed constraints of this job
-  int steps = 0;         // relaxation attempts of the producing run
-  int subtasks = 0;      // pool subtasks of the producing run
-};
-
-/// Where the flow looks up / publishes gate slices. Implementations must be
-/// thread-safe (parallel jobs call concurrently) and must tolerate
-/// duplicate inserts of the same key (keep either copy: both were computed
-/// from identical content). svc::GateCache is the resident implementation.
-class GateSliceStore {
- public:
-  virtual ~GateSliceStore() = default;
-  /// The slice stored under `key`, or null. Callers check the has_* flag
-  /// for the phase they need.
-  virtual std::shared_ptr<const GateSlice> lookup(const GateJobKey& key) = 0;
-  virtual void insert(const GateJobKey& key,
-                      std::shared_ptr<const GateSlice> slice) = 0;
-};
-
-/// Canonical content prefix shared by every job of one MG component: a
-/// phase tag (the verify verdict ignores adversary weights and expand
-/// knobs, so verify and derive bases never alias), the token-game content
-/// of the component (shared with the SG cache), the arc kinds and label
-/// occurrence indices the SG key omits (guaranteed/restriction state and
-/// occurrence indices both steer the relaxation), and the (id, kind,
-/// name) of every signal the component mentions — constraint slices store
-/// raw signal ids, so a reused slice must mean the same signals by name.
-/// With `adversary` non-null (the derive-phase base) it additionally
-/// packs the expand policy knobs and the full adversary-weight matrix
-/// over the component's alive transition pairs: weights come from the
-/// *implementation* STG, so two designs sharing a component but differing
-/// in their global acknowledgement structure key apart. The flow computes
-/// one base per component and stamps every job key from it, so per-job
-/// key cost is the gate suffix alone — the prefix words and their digest
-/// are shared, never copied or re-hashed.
-ComponentKeyBase component_key_base(
-    const stg::MgStg& component, const circuit::AdversaryAnalysis* adversary,
-    int order_policy = 0, int max_steps = 0, int max_depth = 0);
-
-/// Finishes a job key from its component base: the suffix is the gate's
-/// output, covers (cube order included — conservative, never unsound),
-/// and fan-ins. local_stg() is a pure function of (component, output,
-/// fan-ins), so equal keys mean identical projections — a hit can skip
-/// the projection entirely.
-GateJobKey gate_job_key(const ComponentKeyBase& component_base,
-                        const circuit::Gate& gate);
-
-/// One-shot convenience composing the two steps (tests, single jobs).
-GateJobKey gate_job_key(const stg::MgStg& component,
-                        const circuit::Gate& gate,
-                        const circuit::AdversaryAnalysis* adversary,
-                        int order_policy = 0, int max_steps = 0,
-                        int max_depth = 0);
 
 }  // namespace sitime::core

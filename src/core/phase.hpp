@@ -84,8 +84,8 @@ void run_decompose_phase(PhaseArtifacts& artifacts,
 
 /// decomposed -> verified: the isochronic-fork timing-conformance check
 /// over the (component × gate) jobs. Only `options.jobs`, `options.pool`,
-/// `options.cancel` and `options.gate_store` participate; the verdict is
-/// identical for every jobs value and whether or not slices were cached.
+/// `options.cancel` and the latency sink of `options.sg_cache` participate;
+/// the verdict is identical for every jobs value.
 void run_verify_phase(PhaseArtifacts& artifacts,
                       const FlowOptions& options = {});
 

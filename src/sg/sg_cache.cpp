@@ -10,21 +10,16 @@ namespace {
 // not; cap each shard and start it over rather than grow without bound.
 constexpr int kMaxEntriesPerShard = 256;
 
-/// Packs everything the SG depends on: arcs, alive set, the labels of the
-/// alive transitions (codes and consistency checks read them), and initial
-/// values.
+/// Packs the token-game content of `mg`: transition and arc counts, the
+/// arc table (from, to, tokens — kinds do NOT participate in the token
+/// game and are deliberately excluded), the alive bitset, the (signal,
+/// rising) labels of the alive transitions (codes and consistency checks
+/// read them), and the initial values. This is exactly the content two
+/// MgStgs must share to have the same state graph.
 std::vector<std::uint64_t> make_key(const stg::MgStg& mg) {
   std::vector<std::uint64_t> key;
-  append_sg_key_words(mg, key);
-  return key;
-}
-
-}  // namespace
-
-void append_sg_key_words(const stg::MgStg& mg,
-                         std::vector<std::uint64_t>& key) {
   const auto& arcs = mg.arcs();
-  key.reserve(key.size() + 2 * arcs.size() + 3 + mg.transition_count() / 64 +
+  key.reserve(2 * arcs.size() + 3 + mg.transition_count() / 64 +
               mg.signals().count() / 16);
   key.push_back((static_cast<std::uint64_t>(mg.transition_count()) << 32) |
                 static_cast<std::uint64_t>(arcs.size()));
@@ -64,7 +59,10 @@ void append_sg_key_words(const stg::MgStg& mg,
     }
   }
   key.push_back(word);
+  return key;
 }
+
+}  // namespace
 
 std::shared_ptr<const StateGraph> SgCache::get_or_build(
     const stg::MgStg& mg, const base::CancelToken& cancel) {

@@ -42,16 +42,6 @@
 
 namespace sitime::sg {
 
-/// Appends the packed token-game content of `mg` to `out`: transition and
-/// arc counts, the arc table (from, to, tokens — kinds do NOT participate
-/// in the token game and are deliberately excluded), the alive bitset, the
-/// (signal, rising) labels of the alive transitions, and the initial
-/// values. This is exactly the content two MgStgs must share to have the
-/// same state graph; SgCache keys on it, and the gate-level slice cache
-/// (core::gate_job_key) reuses it as the base of its finer content hash.
-void append_sg_key_words(const stg::MgStg& mg,
-                         std::vector<std::uint64_t>& out);
-
 class SgCache {
  public:
   /// The SG of `mg`, built on miss via build_state_graph(mg). Thread-safe.

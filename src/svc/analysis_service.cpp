@@ -51,8 +51,8 @@ std::string fnv1a_hex(const std::string& text) {
 }
 
 // The calibrated footprint accounting these entries are charged with
-// lives in svc/footprint.hpp, shared with the decomposition and gate-slice
-// tiers so the one budget compares like with like.
+// lives in svc/footprint.hpp, shared with the decomposition tier so the
+// one budget compares like with like.
 
 }  // namespace
 
@@ -198,8 +198,7 @@ AnalysisService::AnalysisService(ServiceOptions options)
     : options_(std::move(options)),
       budget_(options_.cache_budget_bytes),
       designs_(budget_),
-      decomp_cache_(budget_),
-      gate_cache_(budget_) {
+      decomp_cache_(budget_) {
   // The persistent store opens before the metric registrations so the
   // sitime_disk_store_* callbacks can read it unconditionally. A store
   // that failed to open stays constructed (ok() false) for the boot
@@ -290,7 +289,7 @@ void AnalysisService::register_metrics() {
            cancelled_subtasks_.load(std::memory_order_relaxed));
      });
   cb("sitime_cache_budget_bytes",
-     "Byte budget shared by the design, decomposition and gate caches.",
+     "Byte budget shared by the design and decomposition caches.",
      "gauge",
      [this] { return static_cast<double>(options_.cache_budget_bytes); });
   cb("sitime_sg_cache_hits_total", "Cross-request state-graph cache hits.",
@@ -308,14 +307,6 @@ void AnalysisService::register_metrics() {
        .evictions = "Decompositions shed to fit the shared budget.",
        .entries = "Resident cached decompositions.",
        .bytes = "Estimated resident footprint of the decomposition cache."});
-  gate_cache_.tier().register_metrics(
-      metrics_, this, "sitime_gate_cache",
-      {.hits = "Gate-level slice cache hits.",
-       .misses = "Gate-level slice cache misses.",
-       .evictions = "Gate-level slices shed to fit the shared budget.",
-       .entries = "Resident gate-level slices.",
-       .bytes = "Estimated resident footprint of the gate-level slice "
-                "cache."});
 
   // Persistent-store counters: registered unconditionally (zero without
   // --cache-dir) so dashboards and the metrics_check catalog see a
@@ -388,9 +379,34 @@ core::FlowOptions AnalysisService::flow_options(
   options.jobs = request_jobs > 0 ? request_jobs : options_.jobs;
   options.pool = options_.pool;
   options.sg_cache = &sg_cache_;
-  if (options_.cache_budget_bytes > 0) options.gate_store = &gate_cache_;
   options.cancel = cancel;
   return options;
+}
+
+AnalysisService::ReportForms AnalysisService::finish_derive(
+    const core::PhaseArtifacts& artifacts, const std::string& key_hex,
+    RunStats& run) {
+  run.derive_ran = true;
+  run.derive_seconds = artifacts.derive_seconds;
+  ReportForms forms;
+  if (!artifacts.has_result) return forms;
+  ++run.derives;
+  const core::FlowResult& result = artifacts.result;
+  run.expand_seconds = result.expand_seconds;
+  run.expand_steps = result.expand_steps;
+  run.expand_subtasks = result.expand_subtasks;
+  run.expand_jobs = result.jobs;
+  core::FlowReport report =
+      core::make_flow_report(/*design=*/"", result, artifacts.stg->signals);
+  report.content_hash = key_hex;
+  forms.canonical_json =
+      std::make_shared<const std::string>(core::to_canonical_json(report));
+  // Render the provenance-independent forms once, here, so every later
+  // hit on a cached entry serves them verbatim.
+  forms.rendered = std::make_shared<const core::RenderedReport>(
+      core::render_report(report));
+  forms.report = std::make_shared<const core::FlowReport>(std::move(report));
+  return forms;
 }
 
 bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
@@ -417,9 +433,7 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
     // Compute without the lock: while target > completed this thread is
     // the only one touching `artifacts`.
     std::shared_ptr<const std::string> netlist;
-    std::shared_ptr<const core::FlowReport> report;
-    std::shared_ptr<const std::string> canonical_json;
-    std::shared_ptr<const core::RenderedReport> rendered_forms;
+    ReportForms forms;
     try {
       switch (next) {
         case core::Phase::decomposed: {
@@ -454,11 +468,7 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
             core::FlowDecomposition decomposition = cached->decomposition;
             if (*netlist != cached->built_eqn) {
               // Different circuit, same STG: re-target the job list at
-              // this circuit's gate count. The shared key_cache stays —
-              // component key bases (adversary-weight matrix included)
-              // are a pure function of the STG, and every per-gate key
-              // still differs through its gate-word suffix — so a
-              // netlist-only edit pays no keying serialization at all.
+              // this circuit's gate count.
               decomposition.jobs = core::enumerate_flow_jobs(
                   static_cast<int>(decomposition.component_stgs.size()),
                   static_cast<int>(
@@ -495,30 +505,7 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
           break;
         case core::Phase::derived:
           core::run_derive_phase(entry->artifacts, options);
-          run.derive_ran = true;
-          run.derive_seconds = entry->artifacts.derive_seconds;
-          if (entry->artifacts.has_result) {
-            ++run.derives;
-            const core::FlowResult& result = entry->artifacts.result;
-            run.expand_seconds = result.expand_seconds;
-            run.expand_steps = result.expand_steps;
-            run.expand_subtasks = result.expand_subtasks;
-            run.expand_jobs = result.jobs;
-            run.gate_hits = result.gate_hits;
-            run.gate_misses = result.gate_misses;
-            core::FlowReport rendered = core::make_flow_report(
-                /*design=*/"", entry->artifacts.result,
-                entry->artifacts.stg->signals);
-            rendered.content_hash = entry->key_hex;
-            canonical_json = std::make_shared<const std::string>(
-                core::to_canonical_json(rendered));
-            // Render the provenance-independent forms once, here, so
-            // every later hit on this entry serves them verbatim.
-            rendered_forms = std::make_shared<const core::RenderedReport>(
-                core::render_report(rendered));
-            report = std::make_shared<const core::FlowReport>(
-                std::move(rendered));
-          }
+          forms = finish_derive(entry->artifacts, entry->key_hex, run);
           break;
         case core::Phase::parsed:
           break;  // unreachable: parsed is never a *next* phase
@@ -546,11 +533,11 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
     {
       std::lock_guard<std::mutex> lock(entry->mutex);
       if (netlist != nullptr) entry->netlist_eqn = std::move(netlist);
-      if (report != nullptr) entry->report = std::move(report);
-      if (canonical_json != nullptr)
-        entry->canonical_json = std::move(canonical_json);
-      if (rendered_forms != nullptr)
-        entry->rendered = std::move(rendered_forms);
+      if (forms.report != nullptr) {
+        entry->report = std::move(forms.report);
+        entry->canonical_json = std::move(forms.canonical_json);
+        entry->rendered = std::move(forms.rendered);
+      }
       entry->completed = next;
       const bool done = entry->completed >= entry->target;
       if (done) {
@@ -569,10 +556,9 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
 bool AnalysisService::retain_locked(const std::shared_ptr<Entry>& entry,
                                     std::size_t bytes) {
   if (!designs_.insert(entry->canonical, entry, bytes)) return false;
-  // Shed priority design > decomposition > gate slice: the lower tiers
-  // shed against the grown design bytes before the design LRU gives
-  // ground, so a design burst squeezes gate slices to zero before it
-  // touches a cached decomposition, and both before any resident design.
+  // Shed priority design > decomposition: the decomposition tier sheds
+  // against the grown design bytes before the design LRU gives ground, so
+  // a design burst empties it before it touches any resident design.
   budget_.shed_lower_first(designs_);
   return true;
 }
@@ -706,10 +692,7 @@ void AnalysisService::append_run_spans(const RunStats& run, bool cold,
                        "jobs=" + std::to_string(run.expand_jobs) +
                            " steps=" + std::to_string(run.expand_steps) +
                            " subtasks=" +
-                           std::to_string(run.expand_subtasks) +
-                           " gate_hits=" + std::to_string(run.gate_hits) +
-                           " gate_misses=" +
-                           std::to_string(run.gate_misses),
+                           std::to_string(run.expand_subtasks),
                        "derive"});
   }
 }
@@ -957,19 +940,11 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   RunStats run;
   run.decomposes = artifacts.completed >= core::Phase::decomposed ? 1 : 0;
   run.verifies = artifacts.completed >= core::Phase::verified ? 1 : 0;
-  run.derive_ran = artifacts.completed >= core::Phase::derived;
-  run.derives = artifacts.has_result ? 1 : 0;
   run.decompose_seconds = artifacts.decompose_seconds;
   run.verify_seconds = artifacts.verify_seconds;
-  run.derive_seconds = artifacts.derive_seconds;
-  if (artifacts.has_result) {
-    run.expand_seconds = artifacts.result.expand_seconds;
-    run.expand_steps = artifacts.result.expand_steps;
-    run.expand_subtasks = artifacts.result.expand_subtasks;
-    run.expand_jobs = artifacts.result.jobs;
-    run.gate_hits = artifacts.result.gate_hits;
-    run.gate_misses = artifacts.result.gate_misses;
-  }
+  ReportForms forms;
+  if (artifacts.completed >= core::Phase::derived)
+    forms = finish_derive(artifacts, response.key, run);
   decompose_runs_->inc(run.decomposes);
   verify_runs_->inc(run.verifies);
   derive_runs_->inc(run.derives);
@@ -987,17 +962,9 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
       core::phase_range_text(core::Phase::parsed, artifacts.completed);
   response.verify_offender = artifacts.verify_offender;
   response.speed_independent = artifacts.verify_offender.empty();
-  if (request.mode == RequestMode::derive && artifacts.has_result) {
-    core::FlowReport rendered = core::make_flow_report(
-        /*design=*/"", artifacts.result, artifacts.stg->signals);
-    rendered.content_hash = response.key;
-    response.canonical_json = std::make_shared<const std::string>(
-        core::to_canonical_json(rendered));
-    response.rendered = std::make_shared<const core::RenderedReport>(
-        core::render_report(rendered));
-    response.report =
-        std::make_shared<const core::FlowReport>(std::move(rendered));
-  }
+  response.report = std::move(forms.report);
+  response.canonical_json = std::move(forms.canonical_json);
+  response.rendered = std::move(forms.rendered);
   response.seconds = seconds_since(start);
   return response;
 }
@@ -1146,12 +1113,6 @@ CacheStats AnalysisService::stats() const {
   stats.decomp_evictions = decomp.evictions;
   stats.decomp_entries = decomp.entries;
   stats.decomp_bytes = decomp.bytes;
-  const CacheTierStats gate = gate_cache_.tier().stats();
-  stats.gate_hits = gate.hits;
-  stats.gate_misses = gate.misses;
-  stats.gate_evictions = gate.evictions;
-  stats.gate_entries = gate.entries;
-  stats.gate_bytes = gate.bytes;
   if (disk_store_ != nullptr) {
     stats.disk_writes = disk_store_->writes();
     stats.disk_write_errors = disk_store_->write_errors();

@@ -17,17 +17,15 @@
 //     derive entry answers verify requests for free ("hit"). Mixed
 //     verify/derive traffic on one design holds one entry and runs
 //     decompose_flow once.
-//   - two finer cache tiers under the whole-design key: a decomposition
+//   - a finer cache tier under the whole-design key: a decomposition
 //     cache keyed on the canonical STG alone (svc::DecompCache — a
 //     netlist-only edit reuses the whole FlowDecomposition and skips the
-//     global-SG rebuild) and a gate-level slice cache keyed per
-//     (component × gate) job (svc::GateCache — an edited design
-//     re-expands only its delta).
-//   - LRU eviction by byte budget: all three tiers are svc::CacheTiers on
-//     one svc::CacheBudget of ServiceOptions::cache_budget_bytes, with shed
-//     priority design > decomposition > gate slice. Entries are charged a
-//     calibrated estimate of their resident footprint (real container
-//     capacities, SSO and node overheads accounted; svc/footprint.hpp).
+//     global-SG rebuild).
+//   - LRU eviction by byte budget: both tiers are svc::CacheTiers on one
+//     svc::CacheBudget of ServiceOptions::cache_budget_bytes, with shed
+//     priority design > decomposition. Entries are charged a calibrated
+//     estimate of their resident footprint (real container capacities,
+//     SSO and node overheads accounted; svc/footprint.hpp).
 //   - single-flight deduplication per (entry, phase): N concurrent
 //     requests for the same design run each missing phase ONCE; a
 //     concurrent verify and derive share the parse + decompose work, with
@@ -58,7 +56,6 @@
 #include "svc/cache_tier.hpp"
 #include "svc/decomp_cache.hpp"
 #include "svc/disk_store.hpp"
-#include "svc/gate_cache.hpp"
 
 namespace sitime::svc {
 
@@ -197,18 +194,16 @@ struct CacheStats {
   int sg_cache_entries = 0;  // cross-request state-graph cache
   long long sg_cache_hits = 0;
   long long sg_cache_misses = 0;
-  // Decomposition cache (the middle tier; see svc::DecompCache).
+  // Decomposition cache (the lower tier; see svc::DecompCache).
   // hits/misses count decompose-phase lookups by canonical STG; bytes
-  // share budget_bytes, below designs and above gate slices in shed
-  // priority.
+  // share budget_bytes, below designs in shed priority.
   long long decomp_hits = 0;
   long long decomp_misses = 0;
   long long decomp_evictions = 0;
   int decomp_entries = 0;
   std::size_t decomp_bytes = 0;
-  // Gate-level slice cache (the lowest tier; see svc::GateCache).
-  // hits/misses count per-job lookups across every flow the service ran;
-  // bytes share budget_bytes and are shed before either tier above.
+  // Retired gate-slice counters: always 0. They stay in {"stats": true}
+  // (same keys, same order) because existing clients read them.
   long long gate_hits = 0;
   long long gate_misses = 0;
   long long gate_evictions = 0;
@@ -228,8 +223,8 @@ struct CacheStats {
 };
 
 struct ServiceOptions {
-  /// Byte budget shared by the design, decomposition and gate-slice cache
-  /// tiers (svc::CacheBudget; shed priority in that order). An entry
+  /// Byte budget shared by the design and decomposition cache tiers
+  /// (svc::CacheBudget; shed priority in that order). An entry
   /// larger than its tier's allowance is still served but not retained.
   /// 0 = every tier disabled (every request is a fresh run; single-flight
   /// still applies while the run is in flight). The cross-request
@@ -331,12 +326,24 @@ class AnalysisService {
     long long expand_steps = 0;
     long long expand_subtasks = 0;
     int expand_jobs = 0;
-    long long gate_hits = 0;
-    long long gate_misses = 0;
+  };
+  /// The shared renderings of one derived report, as entries hold them
+  /// and responses serve them.
+  struct ReportForms {
+    std::shared_ptr<const core::FlowReport> report;
+    std::shared_ptr<const std::string> canonical_json;
+    std::shared_ptr<const core::RenderedReport> rendered;
   };
 
   static Parsed parse_request(const AnalysisRequest& request,
                               const core::ExpandOptions& expand);
+  /// Records the derive phase `artifacts` just ran in `run` and, when it
+  /// produced constraints, renders the report served under `key_hex`
+  /// (null forms otherwise). Shared by the single-flight runner and the
+  /// bypass, so both count and render a derive identically.
+  static ReportForms finish_derive(const core::PhaseArtifacts& artifacts,
+                                   const std::string& key_hex,
+                                   RunStats& run);
   core::FlowOptions flow_options(int request_jobs,
                                  const core::CancelToken& cancel);
   /// Advances `entry` to its claimed target phase as the single-flight
@@ -383,14 +390,13 @@ class AnalysisService {
 
   ServiceOptions options_;
   sg::SgCache sg_cache_;  // cross-request SG memoization
-  /// The three cache tiers, in shed-priority order (construction order is
+  /// The two cache tiers, in shed-priority order (construction order is
   /// the budget's tier order).
   CacheBudget budget_;
   /// Resident designs by canonical key, exact LRU. Changed only under
   /// mutex_, so residency and inflight_ move together.
   CacheTier<std::string, Entry> designs_;
   DecompCache decomp_cache_;  // STG-keyed decomposition cache
-  GateCache gate_cache_;  // per-(component × gate) slice cache
   /// Persistent warm store (--cache-dir); null = persistence off. Never
   /// touched under mutex_ or an entry mutex — spills encode under the
   /// entry lock but write outside every lock, so disk latency cannot

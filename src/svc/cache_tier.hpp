@@ -1,19 +1,16 @@
 // One byte-budgeted cache tier, and the budget the service's tiers share.
 //
-// A CacheTier is an LRU map from keys to shared_ptr values, split into
-// independently locked shards. Every entry carries the byte charge its
-// caller computed (the calibrated model in svc/footprint.hpp), and the tier
-// keeps hit/miss/eviction counters plus its resident entry and byte counts.
-// With one shard the eviction order is exact LRU. With several, high
-// key-hash bits pick the shard, and shedding pops LRU tails round-robin
-// across the shards: approximate global LRU without a global lock.
+// A CacheTier is an exact-LRU map from keys to shared_ptr values under one
+// mutex. Every entry carries the byte charge its caller computed (the
+// calibrated model in svc/footprint.hpp), and the tier keeps
+// hit/miss/eviction counters plus its resident entry and byte counts.
 //
 // A CacheBudget is one byte budget over an ordered stack of tiers. The
 // tier constructed first has the highest shed priority. Each tier may hold
 // the budget minus whatever the tiers above it hold — its allowance — so a
 // lower tier's entries can never push an upper tier's entry out. The
-// service stacks three tiers: whole designs, decompositions
-// (svc::DecompCache), then gate slices (svc::GateCache).
+// service stacks two tiers: whole designs, then decompositions
+// (svc::DecompCache).
 //
 // Tiers never shed on their own: whoever changed a tier asks the budget to
 // shed afterwards, so the order of shedding across tiers lives in one
@@ -119,25 +116,23 @@ class CacheBudget {
   std::vector<CacheTierBase*> tiers_;  // shed priority order, top first
 };
 
-template <typename Key, typename Value, typename Hash = std::hash<Key>>
+template <typename Key, typename Value>
 class CacheTier final : public CacheTierBase {
  public:
   using Ptr = std::shared_ptr<Value>;
 
-  explicit CacheTier(CacheBudget& budget, int shards = 1)
-      : CacheTierBase(budget), shards_(static_cast<std::size_t>(shards)) {}
+  explicit CacheTier(CacheBudget& budget) : CacheTierBase(budget) {}
 
   /// The value under `key`, or null. A hit refreshes LRU order. A resident
   /// value that `servable` rejects is not served and counts as a miss, so
   /// the counters always agree with what was served.
   template <typename Servable>
   Ptr lookup(const Key& key, Servable servable) {
-    Shard& shard = shard_of(key);
     {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto found = shard.index.find(key);
-      if (found != shard.index.end() && servable(*found->second->value)) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto found = index_.find(key);
+      if (found != index_.end() && servable(*found->second->value)) {
+        lru_.splice(lru_.begin(), lru_, found->second);
         hits_.fetch_add(1, std::memory_order_relaxed);
         return found->second->value;
       }
@@ -151,9 +146,8 @@ class CacheTier final : public CacheTierBase {
 
   /// Uncounted, and leaves LRU order alone.
   bool contains(const Key& key) const {
-    Shard& shard = shard_of(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.index.count(key) != 0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return index_.count(key) != 0;
   }
 
   /// Stores `value` at `bytes` under a key that is not resident, if
@@ -170,27 +164,26 @@ class CacheTier final : public CacheTierBase {
   /// `resident` is the value under `key` (null if none) and a null value
   /// keeps the resident one. A resident key is replaced in place at the
   /// new charge and refreshed to most recent; a new key is admitted only
-  /// within the allowance. `make` runs under the shard lock, so a merge
+  /// within the allowance. `make` runs under the tier lock, so a merge
   /// with the resident value is atomic. Returns whether a value was stored.
   template <typename Make>
   bool upsert(const Key& key, Make make) {
-    Shard& shard = shard_of(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto found = shard.index.find(key);
-    const bool resident = found != shard.index.end();
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto found = index_.find(key);
+    const bool resident = found != index_.end();
     auto [value, bytes] =
         make(resident ? found->second->value.get() : nullptr);
     if (value == nullptr) return false;
     if (resident) {
       found->second->value = std::move(value);
       charge(*found->second, bytes);
-      shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
+      lru_.splice(lru_.begin(), lru_, found->second);
       return true;
     }
     if (bytes > budget_.allowance(*this)) return false;
-    const auto slot = shard.index.emplace(key, shard.lru.end()).first;
-    shard.lru.push_front(Node{&slot->first, std::move(value), bytes});
-    slot->second = shard.lru.begin();
+    const auto slot = index_.emplace(key, lru_.end()).first;
+    lru_.push_front(Node{&slot->first, std::move(value), bytes});
+    slot->second = lru_.begin();
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
     entries_.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -201,35 +194,21 @@ class CacheTier final : public CacheTierBase {
   /// evicted (and counted). Returns false when `key` does not map to
   /// `value`.
   bool recharge(const Key& key, const Value* value, std::size_t bytes) {
-    Shard& shard = shard_of(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto found = shard.index.find(key);
-    if (found == shard.index.end() || found->second->value.get() != value)
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto found = index_.find(key);
+    if (found == index_.end() || found->second->value.get() != value)
       return false;
     if (bytes > budget_.allowance(*this))
-      evict_locked(shard, found->second);
+      evict_locked(found->second);
     else
       charge(*found->second, bytes);
     return true;
   }
 
   void shed_to(std::size_t target) override {
-    // Round-robin over the shards popping LRU tails. A full sweep that
-    // evicts nothing means every shard is empty, so the loop terminates.
-    while (bytes() > target) {
-      bool evicted_any = false;
-      const unsigned start =
-          shed_cursor_.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (bytes() <= target) return;
-        Shard& shard = shards_[(start + i) % shards_.size()];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (shard.lru.empty()) continue;
-        evict_locked(shard, std::prev(shard.lru.end()));
-        evicted_any = true;
-      }
-      if (!evicted_any) return;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    while (bytes() > target && !lru_.empty())
+      evict_locked(std::prev(lru_.end()));
   }
 
  private:
@@ -239,17 +218,6 @@ class CacheTier final : public CacheTierBase {
     std::size_t bytes;
   };
   using Lru = std::list<Node>;
-  struct Shard {
-    std::mutex mutex;
-    Lru lru;  // most-recently-used first
-    std::unordered_map<Key, typename Lru::iterator, Hash> index;
-  };
-
-  Shard& shard_of(const Key& key) const {
-    return shards_.size() == 1
-               ? shards_[0]
-               : shards_[(Hash{}(key) >> 48) % shards_.size()];
-  }
 
   void charge(Node& node, std::size_t bytes) {
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
@@ -257,16 +225,17 @@ class CacheTier final : public CacheTierBase {
     node.bytes = bytes;
   }
 
-  void evict_locked(Shard& shard, typename Lru::iterator victim) {
+  void evict_locked(typename Lru::iterator victim) {
     bytes_.fetch_sub(victim->bytes, std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    shard.index.erase(shard.index.find(*victim->key));
-    shard.lru.erase(victim);
+    index_.erase(index_.find(*victim->key));
+    lru_.erase(victim);
   }
 
-  mutable std::vector<Shard> shards_;  // LRU order is not logical state
-  std::atomic<unsigned> shed_cursor_{0};
+  mutable std::mutex mutex_;
+  Lru lru_;  // most-recently-used first
+  std::unordered_map<Key, typename Lru::iterator> index_;
 };
 
 }  // namespace sitime::svc

@@ -13,8 +13,7 @@ namespace {
 /// pins, the retained synthesized circuit, the canonical key (charged
 /// twice: node copy + index copy) and the container node overheads. The
 /// pinned STG may also be resident as a design entry — double-charging
-/// shared bytes keeps the budget conservative, exactly as the gate cache
-/// over-counts shared key prefixes.
+/// shared bytes keeps the budget conservative.
 std::size_t value_bytes(const std::string& key,
                         const DecompCache::Value& value) {
   std::size_t total = sizeof(DecompCache::Value) + kControlBlockBytes +
@@ -44,7 +43,7 @@ std::shared_ptr<const DecompCache::Value> DecompCache::lookup(
 void DecompCache::insert(const std::string& stg_canonical, Value value) {
   // Injected decomp_cache_insert fault: the flow that decomposed already
   // holds its artifacts, so skipping retention only costs a later
-  // re-decompose — the three-tier analogue of gate_cache_insert.
+  // re-decompose — the decomposition-tier analogue of cache_insert.
   if (base::fault_fires(base::FaultPoint::decomp_cache_insert)) return;
   tier_.upsert(stg_canonical, [&](const Value* resident) {
     // Whichever insert carried the synthesis products keeps them.
@@ -56,8 +55,8 @@ void DecompCache::insert(const std::string& stg_canonical, Value value) {
     return std::make_pair(std::make_shared<const Value>(std::move(value)),
                           cost);
   });
-  // The decomposition tier makes room among its own entries first; the
-  // gate slices below then fit what the designs and decompositions leave.
+  // The lowest tier makes room among its own entries, within what the
+  // designs above it leave.
   tier_.budget().shed_from(tier_);
 }
 

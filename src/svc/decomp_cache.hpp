@@ -1,32 +1,28 @@
-// The middle tier of the three-tier service cache: whole-design
+// The lower tier of the two-tier service cache: whole-design
 // FlowDecompositions keyed on the canonical STG text ALONE.
 //
 // The design tier keys on STG + netlist + expand options, so a netlist-only
 // edit misses it and — without this cache — pays the full decompose phase
 // again: the global-SG BFS, the consistency check, the MG component
 // enumeration and every component projection. All of that is a pure
-// function of the STG; only the (component × gate) job list and the
-// derive-side key material depend on the circuit. This cache stores the
-// STG-derived part once, and a hit re-targets it at the request's circuit
-// by re-enumerating the job list (core::enumerate_flow_jobs) — skipping
-// the global-SG rebuild entirely.
+// function of the STG; only the (component × gate) job list depends on
+// the circuit. This cache stores the STG-derived part once, and a hit
+// re-targets it at the request's circuit by re-enumerating the job list
+// (core::enumerate_flow_jobs) — skipping the global-SG rebuild entirely.
 //
 // A value built from a design with no explicit netlist also retains the
 // synthesized circuit (a pure function of the STG), so repeat synthesis
 // requests skip the synthesis global-SG pass too. `built_eqn` records the
 // canonical netlist the stored job list was computed against: a hit whose
 // circuit matches reuses it verbatim; a mismatch re-enumerates the job
-// list for the new gate count. The memoized FlowKeyCache is shared either
-// way — the ComponentKeyBase prefixes and the adversary-weight matrix they
-// embed are pure functions of the STG, so warm runs never re-serialize
-// them, whatever circuit they bring.
+// list for the new gate count.
 //
 // Storage is one exact-LRU svc::CacheTier, charged with the calibrated
 // model in svc/footprint.hpp (the pinned source STG and retained
 // synthesized circuit included) under the service's CacheBudget, below the
-// design tier and above the gate slices. There is no single-flight: two
-// flows racing on one STG both decompose and either insert may win, the
-// content address guaranteeing they built the same value.
+// design tier. There is no single-flight: two flows racing on one STG both
+// decompose and either insert may win, the content address guaranteeing
+// they built the same value.
 #pragma once
 
 #include <memory>
@@ -40,11 +36,10 @@ namespace sitime::svc {
 
 class DecompCache {
  public:
-  /// One cached decomposition. `decomposition` carries its pins
-  /// (FlowDecomposition::source for the STG the component projections
-  /// point into, key_cache for the memoized key bases); consumers whose
+  /// One cached decomposition. `decomposition` pins the STG its component
+  /// projections point into (FlowDecomposition::source); consumers whose
   /// circuit renders to `built_eqn` may use it verbatim, others
-  /// re-enumerate the job list (the shared key cache stays valid).
+  /// re-enumerate the job list.
   struct Value {
     core::FlowDecomposition decomposition;
     /// Canonical netlist of the circuit `decomposition.jobs` was

@@ -7,9 +7,9 @@
 // are estimates in the strict sense, but calibrated ones — the old
 // accounting guessed flat per-element factors.
 //
-// All three cache tiers (design entries in AnalysisService, decomposition
-// values in DecompCache, gate slices in GateCache) charge through this one
-// model, so the shared byte budget compares like with like.
+// Both cache tiers (design entries in AnalysisService, decomposition values
+// in DecompCache) charge through this one model, so the shared byte budget
+// compares like with like.
 #pragma once
 
 #include <cstddef>

@@ -16,15 +16,7 @@
 namespace sitime::svc {
 namespace {
 
-/// Puts key k in shard k % shards (the tier picks shards by the top 16
-/// hash bits).
-struct ShardByKey {
-  std::size_t operator()(int key) const {
-    return static_cast<std::size_t>(key) << 48;
-  }
-};
-
-using Tier = CacheTier<int, const int, ShardByKey>;
+using Tier = CacheTier<int, const int>;
 
 std::shared_ptr<const int> value(int v) {
   return std::make_shared<const int>(v);
@@ -38,7 +30,7 @@ std::vector<int> resident(const Tier& tier, int limit) {
   return keys;
 }
 
-TEST(CacheTier, OneShardEvictsInExactLruOrder) {
+TEST(CacheTier, EvictsInExactLruOrder) {
   CacheBudget budget(1000);
   Tier tier(budget);
   for (int key = 0; key < 5; ++key)
@@ -64,34 +56,10 @@ TEST(CacheTier, OneShardEvictsInExactLruOrder) {
   EXPECT_EQ(stats.bytes, 10u);
 }
 
-TEST(CacheTier, ShardsShedRoundRobinFromARotatingCursor) {
-  CacheBudget budget(1000);
-  Tier tier(budget, /*shards=*/4);
-  // Shard s holds s, s + 4, s + 8, inserted oldest first.
-  for (int key = 0; key < 12; ++key)
-    ASSERT_TRUE(tier.insert(key, value(key), 10));
-
-  // The first sweep starts at shard 0 and pops one LRU tail per shard
-  // until the target holds.
-  tier.shed_to(100);
-  EXPECT_EQ(resident(tier, 12),
-            (std::vector<int>{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
-  // The next shed starts one shard later: shard 1, then shard 2.
-  tier.shed_to(80);
-  EXPECT_EQ(resident(tier, 12), (std::vector<int>{3, 4, 6, 7, 8, 9, 10, 11}));
-  // A shed that frees a whole sweep's worth wraps around the shards.
-  tier.shed_to(30);
-  EXPECT_EQ(resident(tier, 12), (std::vector<int>{8, 10, 11}));
-  EXPECT_EQ(tier.stats().evictions, 9);
-  tier.shed_to(0);
-  EXPECT_EQ(tier.stats().entries, 0);
-  EXPECT_EQ(tier.bytes(), 0u);
-}
-
 TEST(CacheBudget, ALowerTierBurstNeverEvictsAnUpperTierEntry) {
   CacheBudget budget(100);
   Tier upper(budget);
-  Tier lower(budget, /*shards=*/4);
+  Tier lower(budget);
   for (int key = 0; key < 6; ++key) {
     ASSERT_TRUE(upper.insert(key, value(key), 10));
     budget.shed_lower_first(upper);
@@ -219,7 +187,7 @@ double sample(const std::string& text, const std::string& name) {
 TEST(CacheTier, CountersEqualTheRegisteredMetricValues) {
   base::MetricsRegistry registry;
   CacheBudget budget(50);
-  Tier tier(budget, /*shards=*/2);
+  Tier tier(budget);
   Tier quiet(budget);
   tier.register_metrics(registry, &tier, "t",
                         {.hits = "h", .misses = "m", .evictions = "e",
@@ -253,7 +221,7 @@ TEST(CacheTier, ConcurrentLookupInsertShedStormKeepsTheBooks) {
   constexpr std::size_t kBudget = 2000;
   CacheBudget budget(kBudget);
   Tier upper(budget);
-  Tier lower(budget, /*shards=*/16);
+  Tier lower(budget);
   constexpr int kThreads = 4;
   constexpr int kOps = 4000;
   std::atomic<long long> lookups{0};

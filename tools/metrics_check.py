@@ -236,10 +236,9 @@ def main():
         assert counter_value(scrape2, family) == 0, (family, scrape2)
     assert stats2["disk_writes"] == stats2["disk_loads"] == 0, stats2
 
-    # State-graph build latency is observed by configured mode; the flows
-    # above built local SGs, so the histogram family must exist and hold
-    # at least one observation (whatever the serial/parallel split under
-    # --jobs 2).
+    # Every local state-graph build observes one latency histogram; the
+    # flows above built local SGs, so the family must exist and hold at
+    # least one observation.
     assert typed2.get("sitime_sg_build_seconds") == "histogram", typed2
     sg_builds = counter_value(scrape2, "sitime_sg_build_seconds_count")
     assert sg_builds > 0, "no sg build observations"
