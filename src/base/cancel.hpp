@@ -62,10 +62,14 @@ class Deadline {
 
   /// Budget relative to `from` (defaults to now). A non-positive budget
   /// yields an inactive deadline, matching the wire contract where
-  /// deadline_ms is optional.
+  /// deadline_ms is optional. A budget past the clock's range saturates
+  /// at its maximum instead of overflowing into the past.
   static Deadline after_ms(long long budget_ms,
                            Clock::time_point from = Clock::now()) {
     if (budget_ms <= 0) return Deadline();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - from);
+    if (budget_ms >= headroom.count()) return at(Clock::time_point::max());
     return at(from + std::chrono::milliseconds(budget_ms));
   }
 

@@ -26,7 +26,6 @@ const char* fault_point_name(FaultPoint point) {
     case FaultPoint::cache_insert: return "cache_insert";
     case FaultPoint::transport_write: return "transport_write";
     case FaultPoint::worker_stall: return "worker_stall";
-    case FaultPoint::decomp_cache_insert: return "decomp_cache_insert";
     case FaultPoint::disk_store_write: return "disk_store_write";
     case FaultPoint::disk_store_load: return "disk_store_load";
   }

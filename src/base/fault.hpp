@@ -3,7 +3,7 @@
 // unless CMake defines SITIME_FAULT_INJECTION (option SITIME_FAULTS,
 // default ON so the checked-in test suites exercise the paths).
 //
-// Nine injection points cover the layers a request crosses:
+// Eight injection points cover the layers a request crosses:
 //   parse           AnalysisService request parsing
 //   decompose       core::run_decompose_phase entry
 //   sg_build        sg::build_state_graph entry
@@ -14,10 +14,6 @@
 //                   (sleeps ~40 ms, simulating a slow analysis pinning a
 //                   shared worker — the deterministic "plug" behind the
 //                   queue-timing tests)
-//   decomp_cache_insert  svc::DecompCache::insert retention (the
-//                   decomposition is still served to its own run, it
-//                   just is not kept — mirrors cache_insert one cache
-//                   tier down)
 //   disk_store_write  svc::DiskStore::save (the spill is dropped and
 //                   counted as a write error; the in-memory entry and
 //                   the response are untouched — persistence is always
@@ -54,7 +50,8 @@ namespace sitime::base {
 
 // The values are fixed: the seeded mode hashes them, so a point keeps its
 // fire schedule across releases. New points take fresh values and a
-// retired point's value stays reserved (4 was gate_cache_insert).
+// retired point's value stays reserved (4 was gate_cache_insert, 7 was
+// decomp_cache_insert).
 enum class FaultPoint : int {
   parse = 0,
   decompose = 1,
@@ -62,7 +59,6 @@ enum class FaultPoint : int {
   cache_insert = 3,
   transport_write = 5,
   worker_stall = 6,
-  decomp_cache_insert = 7,
   disk_store_write = 8,
   disk_store_load = 9,
 };

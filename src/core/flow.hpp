@@ -109,15 +109,16 @@ struct FlowDecomposition {
   std::vector<stg::MgStg> component_stgs;   // one per MG component
   std::vector<FlowJob> jobs;                // component-major, stable order
   /// Pins the STG whose SignalTable the component_stgs point into, so a
-  /// decomposition cached beyond its producing PhaseArtifacts (the
-  /// service's decomposition cache) stays valid. May be null when the
-  /// caller guarantees the source STG outlives every copy.
+  /// decomposition shared beyond its producing PhaseArtifacts stays valid:
+  /// the service shares one per STG among the design entries that hold
+  /// it. May be null when the caller guarantees the source STG outlives
+  /// every copy.
   std::shared_ptr<const stg::Stg> source;
 };
 
 /// The stable component-major job order of decompose_flow, reusable to
-/// re-target a cached decomposition at a circuit with a different gate
-/// list (the component_stgs and initial values depend only on the STG).
+/// re-target a shared decomposition at a circuit with a different gate
+/// count (the component_stgs and initial values depend only on the STG).
 std::vector<FlowJob> enumerate_flow_jobs(int components, int gates);
 
 /// Builds the global SG, checks consistency, and enumerates the MG

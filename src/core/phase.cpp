@@ -1,6 +1,8 @@
 #include "core/phase.hpp"
 
 #include <chrono>
+#include <memory>
+#include <utility>
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
@@ -57,11 +59,13 @@ void run_decompose_phase(PhaseArtifacts& artifacts,
             &artifacts.stg->signals,
             synth::synthesize(*artifacts.stg, global)));
   }
-  artifacts.decomposition =
+  FlowDecomposition decomposition =
       decompose_flow(*artifacts.stg, *artifacts.circuit, cancel);
   // Pin the STG the decomposition's component projections point into, so
-  // a cache can hold the decomposition beyond this artifact's lifetime.
-  artifacts.decomposition.source = artifacts.stg;
+  // the decomposition stays valid beyond this artifact's lifetime.
+  decomposition.source = artifacts.stg;
+  artifacts.decomposition =
+      std::make_shared<const FlowDecomposition>(std::move(decomposition));
   artifacts.decompose_seconds = seconds_since(start);
   artifacts.completed = Phase::decomposed;
 }
@@ -72,7 +76,7 @@ void run_verify_phase(PhaseArtifacts& artifacts,
         "run_verify_phase: artifact is not at the decomposed phase");
   const auto start = std::chrono::steady_clock::now();
   artifacts.verify_offender = verify_speed_independent(
-      artifacts.decomposition, *artifacts.circuit, options);
+      *artifacts.decomposition, *artifacts.circuit, options);
   artifacts.verify_seconds = seconds_since(start);
   artifacts.completed = Phase::verified;
 }
@@ -84,7 +88,7 @@ void run_derive_phase(PhaseArtifacts& artifacts,
   const auto start = std::chrono::steady_clock::now();
   if (artifacts.verify_offender.empty()) {
     artifacts.result = derive_timing_constraints(
-        artifacts.decomposition, *artifacts.stg, *artifacts.circuit,
+        *artifacts.decomposition, *artifacts.stg, *artifacts.circuit,
         options);
     artifacts.result.decompose_seconds = artifacts.decompose_seconds;
     artifacts.result.seconds += artifacts.decompose_seconds;

@@ -43,9 +43,9 @@ std::string phase_range_text(Phase from, Phase to);
 /// the parse-phase product (an owned STG, plus the explicit netlist when
 /// the design came with one); each run_*_phase() call below adds the next
 /// product and bumps `completed`. Circuit and decomposition point into
-/// `stg`; both are held through shared_ptr so a cache can retain the
-/// decomposition (which pins `stg` via FlowDecomposition::source) and the
-/// synthesized circuit beyond the artifact that built them — the pointees
+/// `stg`; both are held through shared_ptr to const, so several artifacts
+/// of one STG can share one decomposition (which pins its STG via
+/// FlowDecomposition::source) and one synthesized circuit — the pointees
 /// are immutable once a phase completes.
 struct PhaseArtifacts {
   // parsed
@@ -54,7 +54,7 @@ struct PhaseArtifacts {
                                                     // when the netlist is
                                                     // synthesized
   // decomposed
-  FlowDecomposition decomposition;
+  std::shared_ptr<const FlowDecomposition> decomposition;
   double decompose_seconds = 0.0;
   // verified
   std::string verify_offender;  // empty = speed independent

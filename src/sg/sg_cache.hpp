@@ -27,7 +27,7 @@
 // Bound: a shard that reaches 256 graphs is cleared before its next
 // insert, so the cache never holds more than 16 × 256 = 4 096 graphs. That
 // is a count bound, not a byte bound: the graphs are not charged to the
-// service's svc::CacheBudget.
+// service's cache budget.
 #pragma once
 
 #include <atomic>

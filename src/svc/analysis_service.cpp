@@ -50,10 +50,6 @@ std::string fnv1a_hex(const std::string& text) {
   return out;
 }
 
-// The calibrated footprint accounting these entries are charged with
-// lives in svc/footprint.hpp, shared with the decomposition tier so the
-// one budget compares like with like.
-
 }  // namespace
 
 /// The parsed design plus its canonical identity, built once per request.
@@ -65,9 +61,9 @@ struct AnalysisService::Parsed {
   std::unique_ptr<circuit::Circuit> circuit;  // null until synthesized
   std::string canonical;  // exact cache key (content + options)
   std::string key_hex;    // public content-address
-  /// The canonical STG text alone — the decomposition-cache key, a strict
-  /// prefix component of `canonical` (a netlist-only edit changes
-  /// `canonical` but not this).
+  /// The canonical STG text alone — the key decompositions are shared
+  /// under, a strict prefix component of `canonical` (a netlist-only edit
+  /// changes `canonical` but not this).
   std::string stg_canonical;
 };
 
@@ -130,10 +126,10 @@ AnalysisService::Parsed AnalysisService::parse_request(
 struct AnalysisService::Entry {
   std::string canonical;  // immutable; cache map key (owned for eviction)
   std::string key_hex;    // immutable
-  std::string stg_canonical;  // immutable; decomposition-cache key
+  std::string stg_canonical;  // immutable; shared-decomposition key
   /// The request carried a netlist (vs. synthesizing from the STG) —
-  /// decides whether a decompose run donates synthesis products to the
-  /// decomposition cache. Immutable.
+  /// decides whether a decompose run shares its synthesis products with
+  /// the STG's later entries. Immutable.
   bool explicit_netlist = false;
 
   std::mutex mutex;
@@ -144,6 +140,11 @@ struct AnalysisService::Entry {
   std::string run_error_code;  // wire class of run_error ("cancelled", ...)
 
   core::PhaseArtifacts artifacts;
+  /// What the shared decomposition `artifacts.decomposition` points into
+  /// holds beyond the FlowDecomposition: its own allocation, and the
+  /// synthesis products it keeps that are not this entry's circuit. Set
+  /// with the decomposition; 0 for a private one.
+  std::size_t shared_bytes = 0;
   std::shared_ptr<const std::string> netlist_eqn;   // set at decomposed
   std::shared_ptr<const core::FlowReport> report;   // set at derived (SI)
   std::shared_ptr<const std::string> canonical_json;
@@ -178,8 +179,11 @@ struct AnalysisService::Entry {
                         2 * sizeof(void*) + sizeof(std::size_t);
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
-    if (completed >= core::Phase::decomposed)
-      total += footprint(artifacts.decomposition);
+    // The full decomposition, even when other entries share it. Entries
+    // loaded from the store hold none.
+    if (artifacts.decomposition != nullptr)
+      total += sizeof(core::FlowDecomposition) + kControlBlockBytes +
+               footprint(*artifacts.decomposition) + shared_bytes;
     total += heap_bytes(artifacts.verify_offender);
     if (artifacts.has_result)
       total += footprint(artifacts.result.before) +
@@ -194,11 +198,45 @@ struct AnalysisService::Entry {
   }
 };
 
+/// One decomposition shared by the design entries of its STG. Entries hold
+/// it through aliasing pointers to `decomposition`, so it lives exactly as
+/// long as some entry or in-flight run holds it; the intern map only
+/// observes it. A value built from a design without an explicit netlist
+/// also keeps the synthesized circuit and its canonical netlist (pure
+/// functions of the STG, pointing into the SignalTable of
+/// decomposition->source), so netlist-free requests skip synthesis too.
+struct AnalysisService::SharedDecomposition {
+  SharedDecomposition(std::atomic<int>& live,
+                      std::shared_ptr<const core::FlowDecomposition> built,
+                      std::shared_ptr<const circuit::Circuit> circuit,
+                      std::shared_ptr<const std::string> eqn)
+      : live(live),
+        decomposition(std::move(built)),
+        synth_circuit(std::move(circuit)),
+        synth_eqn(std::move(eqn)) {
+    live.fetch_add(1, std::memory_order_relaxed);
+  }
+  ~SharedDecomposition() { live.fetch_sub(1, std::memory_order_relaxed); }
+
+  /// The bytes an entry with `circuit` pins through this value beyond
+  /// the FlowDecomposition (see Entry::shared_bytes).
+  std::size_t pinned_bytes(const circuit::Circuit* circuit) const {
+    std::size_t total = sizeof(SharedDecomposition) + kControlBlockBytes;
+    if (synth_circuit != nullptr && synth_circuit.get() != circuit)
+      total += footprint(*synth_circuit) + kControlBlockBytes +
+               sizeof(std::string) + heap_bytes(*synth_eqn) +
+               kControlBlockBytes;
+    return total;
+  }
+
+  std::atomic<int>& live;  // AnalysisService::live_decompositions_
+  std::shared_ptr<const core::FlowDecomposition> decomposition;
+  std::shared_ptr<const circuit::Circuit> synth_circuit;  // null = none
+  std::shared_ptr<const std::string> synth_eqn;  // set with synth_circuit
+};
+
 AnalysisService::AnalysisService(ServiceOptions options)
-    : options_(std::move(options)),
-      budget_(options_.cache_budget_bytes),
-      designs_(budget_),
-      decomp_cache_(budget_) {
+    : options_(std::move(options)), designs_(options_.cache_budget_bytes) {
   // The persistent store opens before the metric registrations so the
   // sitime_disk_store_* callbacks can read it unconditionally. A store
   // that failed to open stays constructed (ok() false) for the boot
@@ -289,7 +327,8 @@ void AnalysisService::register_metrics() {
            cancelled_subtasks_.load(std::memory_order_relaxed));
      });
   cb("sitime_cache_budget_bytes",
-     "Byte budget shared by the design and decomposition caches.",
+     "Byte budget of the design cache (shared decompositions are charged "
+     "to the designs that hold them).",
      "gauge",
      [this] { return static_cast<double>(options_.cache_budget_bytes); });
   cb("sitime_sg_cache_hits_total", "Cross-request state-graph cache hits.",
@@ -299,14 +338,20 @@ void AnalysisService::register_metrics() {
      [this] { return static_cast<double>(sg_cache_.misses()); });
   cb("sitime_sg_cache_entries", "Memoized state graphs resident.", "gauge",
      [this] { return static_cast<double>(sg_cache_.entries()); });
-  decomp_cache_.tier().register_metrics(
-      metrics_, this, "sitime_decomp_cache",
-      {.hits = "Decomposition cache hits (STG-keyed; a hit skips the "
-               "global-SG rebuild of the decompose phase).",
-       .misses = "Decomposition cache misses.",
-       .evictions = "Decompositions shed to fit the shared budget.",
-       .entries = "Resident cached decompositions.",
-       .bytes = "Estimated resident footprint of the decomposition cache."});
+  decomp_hits_ = &metrics_.counter(
+      "sitime_decomp_cache_hits_total",
+      "Decompose phases served by a shared decomposition of the same STG "
+      "(a hit skips the global-SG rebuild).");
+  decomp_misses_ = &metrics_.counter(
+      "sitime_decomp_cache_misses_total",
+      "Decompose phases that found no shared decomposition to reuse.");
+  cb("sitime_decomp_cache_entries",
+     "Live shared decompositions (held by design entries or in-flight "
+     "runs).",
+     "gauge", [this] {
+       return static_cast<double>(
+           live_decompositions_.load(std::memory_order_relaxed));
+     });
 
   // Persistent-store counters: registered unconditionally (zero without
   // --cache-dir) so dashboards and the metrics_check catalog see a
@@ -409,6 +454,113 @@ AnalysisService::ReportForms AnalysisService::finish_derive(
   return forms;
 }
 
+std::shared_ptr<const std::string> AnalysisService::decompose_shared(
+    Entry& entry, const core::CancelToken& cancel, RunStats& run) {
+  core::PhaseArtifacts& artifacts = entry.artifacts;
+  const bool caching = options_.cache_budget_bytes > 0;
+  const std::shared_ptr<const SharedDecomposition> shared =
+      caching ? find_decomposition(entry.stg_canonical,
+                                   /*need_synthesis=*/artifacts.circuit ==
+                                       nullptr)
+              : nullptr;
+  if (shared == nullptr) {
+    core::run_decompose_phase(artifacts, cancel);
+    auto netlist =
+        std::make_shared<const std::string>(artifacts.circuit->to_eqn());
+    ++run.decomposes;
+    run.decompose_seconds = artifacts.decompose_seconds;
+    if (caching) {
+      if (const auto published = publish_decomposition(entry, netlist)) {
+        artifacts.decomposition = std::shared_ptr<const core::FlowDecomposition>(
+            published, published->decomposition.get());
+        entry.shared_bytes = published->pinned_bytes(artifacts.circuit.get());
+      }
+    }
+    return netlist;
+  }
+
+  // The phase still executes (cheaply): it polls the same fault and
+  // cancel points as a cold decompose, so injected decompose faults and
+  // deadlines behave identically warm.
+  const auto start = std::chrono::steady_clock::now();
+  if (base::fault_fires(base::FaultPoint::decompose))
+    base::injected_failure(base::FaultPoint::decompose);
+  cancel.poll("decompose phase");
+  std::shared_ptr<const std::string> netlist;
+  if (artifacts.circuit == nullptr) {
+    artifacts.circuit = shared->synth_circuit;
+    netlist = shared->synth_eqn;  // no re-serialization
+  } else {
+    netlist = std::make_shared<const std::string>(artifacts.circuit->to_eqn());
+  }
+  const core::FlowDecomposition& decomposition = *shared->decomposition;
+  const std::size_t components = decomposition.component_stgs.size();
+  const std::size_t gates = artifacts.circuit->gates().size();
+  if (decomposition.jobs.size() == components * gates) {
+    artifacts.decomposition = std::shared_ptr<const core::FlowDecomposition>(
+        shared, &decomposition);
+    entry.shared_bytes = shared->pinned_bytes(artifacts.circuit.get());
+  } else {
+    // Same STG, different gate count: a private copy with the job list
+    // re-targeted at this circuit.
+    auto retargeted = std::make_shared<core::FlowDecomposition>(decomposition);
+    retargeted->jobs = core::enumerate_flow_jobs(static_cast<int>(components),
+                                                 static_cast<int>(gates));
+    artifacts.decomposition = std::move(retargeted);
+  }
+  artifacts.decompose_seconds = seconds_since(start);
+  artifacts.completed = core::Phase::decomposed;
+  run.decomp_hit = true;
+  run.decompose_seconds = artifacts.decompose_seconds;
+  return netlist;
+}
+
+std::shared_ptr<const AnalysisService::SharedDecomposition>
+AnalysisService::find_decomposition(const std::string& stg_canonical,
+                                    bool need_synthesis) {
+  std::shared_ptr<const SharedDecomposition> shared;
+  {
+    std::lock_guard<std::mutex> lock(decompositions_mutex_);
+    const auto found = decompositions_.find(stg_canonical);
+    if (found != decompositions_.end()) shared = found->second.lock();
+  }
+  if (shared != nullptr &&
+      (!need_synthesis || shared->synth_circuit != nullptr)) {
+    decomp_hits_->inc();
+    return shared;
+  }
+  decomp_misses_->inc();
+  return nullptr;
+}
+
+std::shared_ptr<const AnalysisService::SharedDecomposition>
+AnalysisService::publish_decomposition(
+    const Entry& entry, std::shared_ptr<const std::string> netlist) {
+  const bool synthesized = !entry.explicit_netlist;
+  std::shared_ptr<const SharedDecomposition> resident;  // dies unlocked
+  std::lock_guard<std::mutex> lock(decompositions_mutex_);
+  const auto found = decompositions_.find(entry.stg_canonical);
+  if (found != decompositions_.end()) {
+    resident = found->second.lock();
+    if (resident != nullptr && resident->synth_circuit != nullptr &&
+        !synthesized)
+      return nullptr;
+  } else if (decompositions_.size() >=
+             2 * static_cast<std::size_t>(
+                     live_decompositions_.load(std::memory_order_relaxed))) {
+    // Amortized: after a prune at most the live slots remain, so at least
+    // as many inserts pass before the next one.
+    std::erase_if(decompositions_,
+                  [](const auto& slot) { return slot.second.expired(); });
+  }
+  auto shared = std::make_shared<const SharedDecomposition>(
+      live_decompositions_, entry.artifacts.decomposition,
+      synthesized ? entry.artifacts.circuit : nullptr,
+      synthesized ? std::move(netlist) : nullptr);
+  decompositions_.insert_or_assign(entry.stg_canonical, shared);
+  return shared;
+}
+
 bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
                                  int jobs, const core::CancelToken& cancel,
                                  std::string& error,
@@ -416,7 +568,6 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
                                  core::Phase& achieved,
                                  std::size_t& footprint) {
   const core::FlowOptions options = flow_options(jobs, cancel);
-  const bool caching = options_.cache_budget_bytes > 0;
   while (true) {
     core::Phase next;
     {
@@ -436,68 +587,9 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
     ReportForms forms;
     try {
       switch (next) {
-        case core::Phase::decomposed: {
-          // Decomposition-cache consult, keyed on the canonical STG
-          // alone: a netlist-only edit misses the whole-design key above
-          // but lands here, reusing the entire FlowDecomposition —
-          // global-SG rebuild, consistency check and component
-          // projections included. A design with no explicit netlist is
-          // servable only when the cached value retained the synthesized
-          // circuit.
-          const std::shared_ptr<const DecompCache::Value> cached =
-              caching
-                  ? decomp_cache_.lookup(
-                        entry->stg_canonical,
-                        /*have_circuit=*/entry->artifacts.circuit != nullptr)
-                  : nullptr;
-          if (cached != nullptr) {
-            // The phase still executes (cheaply): it polls the same
-            // fault and cancel points as a cold decompose, so injected
-            // decompose faults and deadlines behave identically warm.
-            const auto hit_start = std::chrono::steady_clock::now();
-            if (base::fault_fires(base::FaultPoint::decompose))
-              base::injected_failure(base::FaultPoint::decompose);
-            options.cancel.poll("decompose phase");
-            if (entry->artifacts.circuit == nullptr) {
-              entry->artifacts.circuit = cached->synth_circuit;
-              netlist = cached->synth_eqn;  // no re-serialization
-            } else {
-              netlist = std::make_shared<const std::string>(
-                  entry->artifacts.circuit->to_eqn());
-            }
-            core::FlowDecomposition decomposition = cached->decomposition;
-            if (*netlist != cached->built_eqn) {
-              // Different circuit, same STG: re-target the job list at
-              // this circuit's gate count.
-              decomposition.jobs = core::enumerate_flow_jobs(
-                  static_cast<int>(decomposition.component_stgs.size()),
-                  static_cast<int>(
-                      entry->artifacts.circuit->gates().size()));
-            }
-            entry->artifacts.decomposition = std::move(decomposition);
-            entry->artifacts.decompose_seconds = seconds_since(hit_start);
-            entry->artifacts.completed = core::Phase::decomposed;
-            run.decomp_cache_hit = true;
-            run.decompose_seconds = entry->artifacts.decompose_seconds;
-            break;
-          }
-          core::run_decompose_phase(entry->artifacts, options.cancel);
-          netlist = std::make_shared<const std::string>(
-              entry->artifacts.circuit->to_eqn());
-          ++run.decomposes;
-          run.decompose_seconds = entry->artifacts.decompose_seconds;
-          if (caching) {
-            DecompCache::Value value;
-            value.decomposition = entry->artifacts.decomposition;
-            value.built_eqn = *netlist;
-            if (!entry->explicit_netlist) {
-              value.synth_circuit = entry->artifacts.circuit;
-              value.synth_eqn = netlist;
-            }
-            decomp_cache_.insert(entry->stg_canonical, std::move(value));
-          }
+        case core::Phase::decomposed:
+          netlist = decompose_shared(*entry, options.cancel, run);
           break;
-        }
         case core::Phase::verified:
           core::run_verify_phase(entry->artifacts, options);
           ++run.verifies;
@@ -553,16 +645,6 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
   }
 }
 
-bool AnalysisService::retain_locked(const std::shared_ptr<Entry>& entry,
-                                    std::size_t bytes) {
-  if (!designs_.insert(entry->canonical, entry, bytes)) return false;
-  // Shed priority design > decomposition: the decomposition tier sheds
-  // against the grown design bytes before the design LRU gives ground, so
-  // a design burst empties it before it touches any resident design.
-  budget_.shed_lower_first(designs_);
-  return true;
-}
-
 void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
                                  bool from_scratch, bool ok,
                                  core::Phase achieved,
@@ -596,10 +678,8 @@ void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
 
   // Resident upgrade (or failed upgrade attempt): re-charge the grown
   // entry; the design tier drops it when it alone no longer fits.
-  if (designs_.recharge(entry->canonical, entry.get(), footprint_now)) {
-    budget_.shed_lower_first(designs_);
+  if (designs_.recharge(entry->canonical, entry.get(), footprint_now))
     return;
-  }
   // First retention of a fresh entry. Even a failed run keeps the phases
   // that did succeed (a derive that threw leaves a decomposed + verified
   // entry the next request upgrades from); an entry with nothing but the
@@ -612,7 +692,7 @@ void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
   // (retention is always optional).
   if (base::fault_fires(base::FaultPoint::cache_insert)) return;
   if (achieved == core::Phase::parsed) return;
-  retain_locked(entry, footprint_now);
+  designs_.insert(entry->canonical, entry, footprint_now);
 }
 
 void AnalysisService::maybe_spill(const std::shared_ptr<Entry>& entry) {
@@ -673,12 +753,12 @@ void AnalysisService::append_run_spans(const RunStats& run, bool cold,
                                        std::vector<TraceSpan>& spans) {
   const char* source = cold ? "cold" : "upgrade";
   double at = at_seconds;
-  if (run.decomposes > 0 || run.decomp_cache_hit) {
-    // A decomposition-cache hit still emits the decompose span (the phase
-    // is in phases_run) but carries its own provenance instead of
+  if (run.decomposes > 0 || run.decomp_hit) {
+    // A shared decomposition still emits the decompose span (the phase is
+    // in phases_run) but carries its own provenance instead of
     // masquerading as a cold decompose.
     spans.push_back({"decompose", at, run.decompose_seconds,
-                     run.decomp_cache_hit ? "cache=decomp" : source, ""});
+                     run.decomp_hit ? "cache=decomp" : source, ""});
     at += run.decompose_seconds;
   }
   if (run.verifies > 0) {
@@ -1076,7 +1156,7 @@ int AnalysisService::warm_from_disk() {
       if (designs_.contains(entry->canonical) ||
           inflight_.find(entry->canonical) != inflight_.end())
         continue;
-      if (!retain_locked(entry, footprint_now)) {
+      if (!designs_.insert(entry->canonical, entry, footprint_now)) {
         disk_store_->note_skip();
         continue;  // served cold this generation; keep the file
       }
@@ -1085,6 +1165,11 @@ int AnalysisService::warm_from_disk() {
     ++loaded;
   }
   return loaded;
+}
+
+std::size_t AnalysisService::decomposition_slots() const {
+  std::lock_guard<std::mutex> lock(decompositions_mutex_);
+  return decompositions_.size();
 }
 
 CacheStats AnalysisService::stats() const {
@@ -1107,12 +1192,10 @@ CacheStats AnalysisService::stats() const {
   stats.sg_cache_entries = sg_cache_.entries();
   stats.sg_cache_hits = sg_cache_.hits();
   stats.sg_cache_misses = sg_cache_.misses();
-  const CacheTierStats decomp = decomp_cache_.tier().stats();
-  stats.decomp_hits = decomp.hits;
-  stats.decomp_misses = decomp.misses;
-  stats.decomp_evictions = decomp.evictions;
-  stats.decomp_entries = decomp.entries;
-  stats.decomp_bytes = decomp.bytes;
+  stats.decomp_hits = decomp_hits_->value();
+  stats.decomp_misses = decomp_misses_->value();
+  stats.decomp_entries =
+      live_decompositions_.load(std::memory_order_relaxed);
   if (disk_store_ != nullptr) {
     stats.disk_writes = disk_store_->writes();
     stats.disk_write_errors = disk_store_->write_errors();

@@ -17,15 +17,19 @@
 //     derive entry answers verify requests for free ("hit"). Mixed
 //     verify/derive traffic on one design holds one entry and runs
 //     decompose_flow once.
-//   - a finer cache tier under the whole-design key: a decomposition
-//     cache keyed on the canonical STG alone (svc::DecompCache — a
-//     netlist-only edit reuses the whole FlowDecomposition and skips the
-//     global-SG rebuild).
-//   - LRU eviction by byte budget: both tiers are svc::CacheTiers on one
-//     svc::CacheBudget of ServiceOptions::cache_budget_bytes, with shed
-//     priority design > decomposition. Entries are charged a calibrated
-//     estimate of their resident footprint (real container capacities,
-//     SSO and node overheads accounted; svc/footprint.hpp).
+//   - shared decompositions: the decomposition is a pure function of the
+//     STG, so every design entry of one canonical STG holds the same one
+//     (a netlist-only edit is a new entry that skips the global-SG
+//     rebuild). An intern map keyed on the canonical STG points at each
+//     live decomposition without owning it: a decomposition lives exactly
+//     as long as some entry or in-flight run holds it.
+//   - LRU eviction by byte budget: resident designs sit in one exact-LRU
+//     svc::CacheTier of ServiceOptions::cache_budget_bytes. Each entry is
+//     charged a calibrated estimate of its resident footprint (real
+//     container capacities, SSO and node overheads accounted;
+//     svc/footprint.hpp), including the full decomposition it holds even
+//     when another entry shares it, so the budget bounds resident memory
+//     from above.
 //   - single-flight deduplication per (entry, phase): N concurrent
 //     requests for the same design run each missing phase ONCE; a
 //     concurrent verify and derive share the parse + decompose work, with
@@ -54,7 +58,6 @@
 #include "sg/sg_cache.hpp"
 #include "stg/stg.hpp"
 #include "svc/cache_tier.hpp"
-#include "svc/decomp_cache.hpp"
 #include "svc/disk_store.hpp"
 
 namespace sitime::svc {
@@ -89,8 +92,8 @@ struct TraceSpan {
   double start = 0.0;
   double seconds = 0.0;
   /// Cache provenance or per-span context: "cold" / "upgrade" on phase
-  /// spans, "cache=decomp" on a decompose span served from the
-  /// decomposition cache (the phase appears in phases_run but no global-SG
+  /// spans, "cache=decomp" on a decompose span served by a shared
+  /// decomposition (the phase appears in phases_run but no global-SG
   /// rebuild happened), "hit" on the cache span, "jobs=4 steps=123
   /// subtasks=5" on the expand aggregate.
   std::string detail;
@@ -194,13 +197,15 @@ struct CacheStats {
   int sg_cache_entries = 0;  // cross-request state-graph cache
   long long sg_cache_hits = 0;
   long long sg_cache_misses = 0;
-  // Decomposition cache (the lower tier; see svc::DecompCache).
-  // hits/misses count decompose-phase lookups by canonical STG; bytes
-  // share budget_bytes, below designs in shed priority.
+  // Shared decompositions. hits/misses count decompose-phase lookups by
+  // canonical STG; entries counts the live shared decompositions (their
+  // bytes are charged to the design entries that hold them).
   long long decomp_hits = 0;
   long long decomp_misses = 0;
-  long long decomp_evictions = 0;
   int decomp_entries = 0;
+  // Retired decomposition-tier counters: always 0, kept for the same
+  // reason as the gate_* keys below.
+  long long decomp_evictions = 0;
   std::size_t decomp_bytes = 0;
   // Retired gate-slice counters: always 0. They stay in {"stats": true}
   // (same keys, same order) because existing clients read them.
@@ -223,10 +228,9 @@ struct CacheStats {
 };
 
 struct ServiceOptions {
-  /// Byte budget shared by the design and decomposition cache tiers
-  /// (svc::CacheBudget; shed priority in that order). An entry
-  /// larger than its tier's allowance is still served but not retained.
-  /// 0 = every tier disabled (every request is a fresh run; single-flight
+  /// Byte budget of the design cache. An entry larger than the whole
+  /// budget is still served but not retained. 0 = caching disabled (every
+  /// request is a fresh run and no decomposition is shared; single-flight
   /// still applies while the run is in flight). The cross-request
   /// sg::SgCache is bounded separately (see sg/sg_cache.hpp).
   std::size_t cache_budget_bytes = 256u << 20;
@@ -292,6 +296,10 @@ class AnalysisService {
 
   CacheStats stats() const;
 
+  /// Slots in the shared-decomposition intern map, expired ones included
+  /// (inserts prune them once they could outnumber the live ones).
+  std::size_t decomposition_slots() const;
+
   const ServiceOptions& options() const { return options_; }
 
   /// The service-wide metric registry: the single source of truth every
@@ -304,17 +312,18 @@ class AnalysisService {
  private:
   struct Entry;
   struct Parsed;
+  struct SharedDecomposition;
 
   /// What one single-flight run (or bypass run) actually executed, for
   /// counters, histograms and trace spans. Captured by the runner while
   /// it is still the sole toucher of the artifacts.
   struct RunStats {
     int decomposes = 0;
-    /// The decompose phase was satisfied from the decomposition cache:
-    /// the phase appears in phases_run (and gets a span tagged
+    /// The decompose phase was satisfied by a shared decomposition: the
+    /// phase appears in phases_run (and gets a span tagged
     /// "cache=decomp") but decomposes stays 0 — no decompose run
     /// happened, no cold-decompose latency is observed.
-    bool decomp_cache_hit = false;
+    bool decomp_hit = false;
     int verifies = 0;
     int derives = 0;       // derive runs that produced constraints (SI)
     bool derive_ran = false;  // the derive phase executed (SI or not)
@@ -358,6 +367,26 @@ class AnalysisService {
                   const core::CancelToken& cancel, std::string& error,
                   std::string& error_code, RunStats& run,
                   core::Phase& achieved, std::size_t& footprint);
+  /// The decompose phase of `entry` (the caller is its runner): shares
+  /// the live decomposition of the entry's STG when there is one, else
+  /// decomposes and publishes the result for the STG's later entries.
+  /// Returns the canonical netlist of the entry's circuit.
+  std::shared_ptr<const std::string> decompose_shared(Entry& entry,
+                                                      const core::CancelToken&
+                                                          cancel,
+                                                      RunStats& run);
+  /// The live decomposition interned under `stg_canonical`, or null;
+  /// counts a hit or a miss. A caller without its own netlist
+  /// (`need_synthesis`) is served only by one that kept the synthesized
+  /// circuit.
+  std::shared_ptr<const SharedDecomposition> find_decomposition(
+      const std::string& stg_canonical, bool need_synthesis);
+  /// Interns `entry`'s fresh decomposition under its STG and returns it,
+  /// or null when a live one that kept synthesis products this one lacks
+  /// stays interned instead. Prunes expired slots first once they could
+  /// outnumber the live ones.
+  std::shared_ptr<const SharedDecomposition> publish_decomposition(
+      const Entry& entry, std::shared_ptr<const std::string> netlist);
   /// Runner epilogue under mutex_: retention (inflight -> design tier or
   /// resident re-charge) and counter updates.
   void finish_run(const std::shared_ptr<Entry>& entry, bool from_scratch,
@@ -379,24 +408,24 @@ class AnalysisService {
   /// the artifact durable. Best-effort: failures only bump the write
   /// error counter. No-op without a store.
   void maybe_spill(const std::shared_ptr<Entry>& entry);
-  /// Makes `entry` a resident design at `bytes` and sheds to fit the
-  /// budget; false when the design tier cannot admit it. Caller holds
-  /// mutex_ and has checked that the design is neither resident nor in
-  /// flight under another entry.
-  bool retain_locked(const std::shared_ptr<Entry>& entry, std::size_t bytes);
   void respond_from_locked(const Entry& entry, RequestMode mode,
                            const char* cache_state,
                            AnalysisResponse& out) const;
 
   ServiceOptions options_;
   sg::SgCache sg_cache_;  // cross-request SG memoization
-  /// The two cache tiers, in shed-priority order (construction order is
-  /// the budget's tier order).
-  CacheBudget budget_;
+  /// Live shared decompositions: each one's destructor decrements it
+  /// without a lock, so stats() never walks the intern map. Declared
+  /// before every holder of a decomposition, so it outlives them all.
+  std::atomic<int> live_decompositions_{0};
+  /// The intern map: canonical STG -> its shared decomposition, not
+  /// owned. Expired slots are pruned on insert.
+  mutable std::mutex decompositions_mutex_;
+  std::unordered_map<std::string, std::weak_ptr<const SharedDecomposition>>
+      decompositions_;
   /// Resident designs by canonical key, exact LRU. Changed only under
   /// mutex_, so residency and inflight_ move together.
   CacheTier<std::string, Entry> designs_;
-  DecompCache decomp_cache_;  // STG-keyed decomposition cache
   /// Persistent warm store (--cache-dir); null = persistence off. Never
   /// touched under mutex_ or an entry mutex — spills encode under the
   /// entry lock but write outside every lock, so disk latency cannot
@@ -429,6 +458,8 @@ class AnalysisService {
   base::MetricCounter* decompose_runs_ = nullptr;
   base::MetricCounter* verify_runs_ = nullptr;
   base::MetricCounter* derive_runs_ = nullptr;
+  base::MetricCounter* decomp_hits_ = nullptr;
+  base::MetricCounter* decomp_misses_ = nullptr;
   base::MetricCounter* expand_steps_ = nullptr;
   base::MetricCounter* expand_subtasks_ = nullptr;
   /// Per-phase latency histograms, [phase 0..3 = parse/decompose/verify/

@@ -7,9 +7,9 @@
 // are estimates in the strict sense, but calibrated ones — the old
 // accounting guessed flat per-element factors.
 //
-// Both cache tiers (design entries in AnalysisService, decomposition values
-// in DecompCache) charge through this one model, so the shared byte budget
-// compares like with like.
+// The design cache charges each resident entry through this one model,
+// the shared decomposition it holds included in full, so the byte budget
+// stays an upper bound on what resident designs keep alive.
 #pragma once
 
 #include <cstddef>

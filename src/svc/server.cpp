@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -150,7 +151,10 @@ AnalysisRequest build_request(const JsonValue& json,
     request.mode = RequestMode::derive;
   else
     sitime::fail("request: unknown mode '" + mode + "'");
-  request.jobs = static_cast<int>(json.int_or("jobs", 0));
+  const long long jobs = json.int_or("jobs", 0);
+  if (jobs < 0 || jobs > std::numeric_limits<int>::max())
+    sitime::fail("request: 'jobs' must be in [0, 2147483647]");
+  request.jobs = static_cast<int>(jobs);
   const JsonValue& trace = json.get("trace_spans");
   if (!trace.is_null()) request.trace_spans = trace.as_bool();
   validate_design_text("astg", request.astg);

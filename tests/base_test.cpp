@@ -2,6 +2,7 @@
 
 #include <random>
 
+#include "base/cancel.hpp"
 #include "base/error.hpp"
 #include "base/graph.hpp"
 #include "base/marking_set.hpp"
@@ -48,6 +49,21 @@ TEST(Error, CheckThrowsWithMessage) {
   } catch (const Error& error) {
     EXPECT_STREQ(error.what(), "broken invariant");
   }
+}
+
+TEST(Deadline, AHugeBudgetSaturatesInsteadOfOverflowing) {
+  // 1e13 ms overflows a nanosecond steady_clock time point; the deadline
+  // must saturate far in the future, not wrap into the past.
+  const Deadline deadline = Deadline::after_ms(10'000'000'000'000LL);
+  EXPECT_TRUE(deadline.active());
+  EXPECT_FALSE(deadline.expired());
+  EXPECT_EQ(deadline.when(), Deadline::Clock::time_point::max());
+  EXPECT_FALSE(CancelToken(deadline).cancelled());
+  // Ordinary budgets are untouched; non-positive ones stay inactive.
+  const auto now = Deadline::Clock::now();
+  EXPECT_EQ(Deadline::after_ms(5, now).when(),
+            now + std::chrono::milliseconds(5));
+  EXPECT_FALSE(Deadline::after_ms(0).active());
 }
 
 TEST(Graph, DijkstraShortestPath) {

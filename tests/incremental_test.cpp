@@ -1,12 +1,14 @@
-// Incremental edits through the service's two cache tiers: an edited
-// design whose whole-design key misses reuses the STG's cached
-// decomposition and still produces output byte-identical to a cold run at
-// any worker count. Also covers the shared byte budget (designs take
-// priority over decompositions), retention faults, and the counters of an
-// edit session under a tight budget.
+// Incremental edits through the service's design cache and its shared
+// decompositions: an edited design whose whole-design key misses shares
+// the decomposition of its STG and still produces output byte-identical to
+// a cold run at any worker count. Also covers sharing under budgets that
+// hold one design, the lifetime of a shared decomposition, a concurrent
+// edit storm, and the counters of an edit session under a tight budget.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchdata/benchmarks.hpp"
@@ -19,8 +21,8 @@ namespace {
 /// first cube of `gate`'s equation. parse_eqn/write_eqn keep cube order and
 /// duplicates, so the edit survives canonicalization and changes the
 /// whole-design content key — while the gate still computes the same
-/// function, so the design stays speed independent and its STG (the
-/// decomposition-cache key) is untouched.
+/// function, so the design stays speed independent and its STG (the key
+/// its decomposition is shared under) is untouched.
 std::string duplicate_first_cube(const std::string& eqn,
                                  const std::string& gate) {
   const std::string lhs = gate + " = ";
@@ -48,6 +50,20 @@ svc::AnalysisRequest derive_request(const std::string& name,
   return request;
 }
 
+/// The first `count` gate names of a canonical netlist (one equation a
+/// line, "gate = ...").
+std::vector<std::string> first_gates(const std::string& eqn,
+                                     std::size_t count) {
+  std::vector<std::string> gates;
+  for (std::size_t line = 0; line < eqn.size() && gates.size() < count;) {
+    gates.push_back(eqn.substr(line, eqn.find(" = ", line) - line));
+    const auto next = eqn.find('\n', line);
+    if (next == std::string::npos) break;
+    line = next + 1;
+  }
+  return gates;
+}
+
 TEST(IncrementalService, NetlistOnlyEditReusesDecomposition) {
   const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
 
@@ -59,11 +75,11 @@ TEST(IncrementalService, NetlistOnlyEditReusesDecomposition) {
   EXPECT_EQ(stats.decomp_hits, 0);
   EXPECT_EQ(stats.decomp_misses, 1);
   EXPECT_EQ(stats.decomp_entries, 1);
-  EXPECT_GT(stats.decomp_bytes, 0u);
+  EXPECT_EQ(stats.decomp_bytes, 0u);  // retired: charged to the design
   EXPECT_EQ(stats.decompose_runs, 1);
 
   // Netlist-only edit: the whole-design key misses but the STG is
-  // untouched, so the decomposition cache serves the entire
+  // untouched, so the resident design shares its entire
   // FlowDecomposition — the global-SG rebuild is skipped, which the
   // unchanged decompose_runs counter proves.
   const std::string mutated = duplicate_first_cube(bench.eqn, "ack");
@@ -75,6 +91,7 @@ TEST(IncrementalService, NetlistOnlyEditReusesDecomposition) {
   const svc::CacheStats after = service.stats();
   EXPECT_EQ(after.decomp_hits, 1);
   EXPECT_EQ(after.decomp_misses, 1);
+  EXPECT_EQ(after.decomp_entries, 1);  // both designs hold the same one
   EXPECT_EQ(after.decompose_runs, stats.decompose_runs);
 
   // Byte-identical to a service that never had a cache tier.
@@ -87,7 +104,7 @@ TEST(IncrementalService, NetlistOnlyEditReusesDecomposition) {
   ASSERT_TRUE(reference.ok) << reference.error;
   ASSERT_NE(reference.canonical_json, nullptr);
   EXPECT_EQ(*reference.canonical_json, *delta.canonical_json);
-  // A disabled decomposition cache records no traffic at all.
+  // A disabled cache shares nothing and records no traffic at all.
   const svc::CacheStats off_stats = fresh.stats();
   EXPECT_EQ(off_stats.decomp_hits + off_stats.decomp_misses, 0);
   EXPECT_EQ(off_stats.decomp_bytes, 0u);
@@ -107,8 +124,8 @@ TEST(IncrementalService, ReportBytesIdenticalAcrossCacheTemperatures) {
   ASSERT_NE(reference.canonical_json, nullptr);
 
   for (int jobs : {1, 8}) {
-    svc::AnalysisService service;  // both cache tiers on
-    // Cold (fills the design and decomposition tiers).
+    svc::AnalysisService service;  // caching on
+    // Cold (a resident design holding the decomposition).
     const auto cold = service.analyze(
         derive_request(bench.name, bench.astg, bench.eqn, jobs));
     ASSERT_TRUE(cold.ok) << cold.error;
@@ -136,7 +153,7 @@ TEST(IncrementalService, ReportBytesIdenticalAcrossCacheTemperatures) {
   }
 }
 
-TEST(IncrementalService, DecompCacheHitSpanCarriesProvenance) {
+TEST(IncrementalService, SharedDecompositionSpanCarriesProvenance) {
   const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
   svc::AnalysisService service;
   ASSERT_TRUE(
@@ -148,8 +165,8 @@ TEST(IncrementalService, DecompCacheHitSpanCarriesProvenance) {
   const auto delta = service.analyze(traced);
   ASSERT_TRUE(delta.ok) << delta.error;
   // The decompose phase appears in phases_run and gets a span, but its
-  // provenance says the decomposition came from the cache — it must not
-  // read as a cold decompose.
+  // provenance says the decomposition was shared — it must not read as a
+  // cold decompose.
   bool saw_decompose = false;
   for (const svc::TraceSpan& span : delta.spans)
     if (span.name == "decompose") {
@@ -168,149 +185,228 @@ void expect_no_gate_tier(const svc::CacheStats& stats) {
   EXPECT_EQ(stats.gate_bytes, 0u);
 }
 
-TEST(IncrementalService, DecompositionsShedBeforeDesigns) {
-  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
-
-  // Calibrate the two tiers' appetites under an unlimited budget.
-  svc::AnalysisService wide;
-  ASSERT_TRUE(
-      wide.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
-  const svc::CacheStats wide_stats = wide.stats();
-  ASSERT_GT(wide_stats.bytes, 0u);
-  ASSERT_GT(wide_stats.decomp_bytes, 0u);
-  EXPECT_LE(wide_stats.bytes + wide_stats.decomp_bytes,
-            wide_stats.budget_bytes);
-  expect_no_gate_tier(wide_stats);
-
-  // A budget that fits the design but not design + decomposition: the
-  // design survives, the decomposition sheds.
-  svc::ServiceOptions squeeze;
-  squeeze.cache_budget_bytes = wide_stats.bytes + wide_stats.decomp_bytes / 2;
-  svc::AnalysisService tight(squeeze);
-  ASSERT_TRUE(
-      tight.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
-  const svc::CacheStats tight_stats = tight.stats();
-  EXPECT_EQ(tight_stats.entries, 1);  // design keeps priority
-  EXPECT_EQ(tight_stats.decomp_entries, 0);
-  EXPECT_GT(tight_stats.decomp_evictions, 0);
-  EXPECT_LE(tight_stats.bytes + tight_stats.decomp_bytes,
-            tight_stats.budget_bytes);
-  expect_no_gate_tier(tight_stats);
-
-  // Budget 0 disables both tiers.
-  svc::ServiceOptions off;
-  off.cache_budget_bytes = 0;
-  svc::AnalysisService disabled(off);
-  ASSERT_TRUE(
-      disabled.analyze(derive_request(bench.name, bench.astg, bench.eqn))
-          .ok);
-  const svc::CacheStats off_stats = disabled.stats();
-  EXPECT_EQ(off_stats.decomp_hits + off_stats.decomp_misses, 0);
-  EXPECT_EQ(off_stats.decomp_bytes, 0u);
-  expect_no_gate_tier(off_stats);
-}
-
-TEST(IncrementalService, DecompCacheInsertFaultSkipsRetentionOnly) {
-  if (!base::fault_injection_compiled_in()) GTEST_SKIP();
-  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
-
-  svc::AnalysisService service;
-  {
-    svc::FaultScope one(base::FaultPoint::decomp_cache_insert, /*nth=*/1);
-    const auto response =
-        service.analyze(derive_request(bench.name, bench.astg, bench.eqn));
-    ASSERT_TRUE(response.ok) << response.error;  // retention-only fault
-  }
-  EXPECT_GT(base::FaultInjector::instance().fired(
-                base::FaultPoint::decomp_cache_insert),
-            0u);
-  const svc::CacheStats stats = service.stats();
-  EXPECT_EQ(stats.decomp_entries, 0);
-  EXPECT_EQ(stats.decomp_misses, 1);
-
-  // The dropped decomposition recomputes on demand: the netlist edit
-  // misses, decomposes again, and this insert sticks.
-  const std::string mutated = duplicate_first_cube(bench.eqn, "ack");
-  const auto delta =
-      service.analyze(derive_request(bench.name, bench.astg, mutated));
-  ASSERT_TRUE(delta.ok) << delta.error;
-  const svc::CacheStats after = service.stats();
-  EXPECT_EQ(after.decomp_misses, 2);
-  EXPECT_EQ(after.decomp_entries, 1);
-  EXPECT_EQ(after.decompose_runs, 2);
-}
-
 TEST(IncrementalService, RetainedSynthesisServesNetlistFreeRequests) {
   const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
 
-  // Calibrate: a netlist-free run under an unlimited budget, to learn the
-  // design entry's and the decomposition's resident footprints.
-  svc::AnalysisService wide;
-  const auto first =
-      wide.analyze(derive_request(bench.name, bench.astg, ""));
-  ASSERT_TRUE(first.ok) << first.error;
-  ASSERT_NE(first.canonical_json, nullptr);
-  const svc::CacheStats wide_stats = wide.stats();
-  ASSERT_GT(wide_stats.bytes, wide_stats.decomp_bytes);
-
-  // A budget below the design entry but above the decomposition: the
-  // design is dropped at publish, the decomposition (with its retained
-  // synthesized circuit) stays.
-  svc::ServiceOptions squeeze;
-  squeeze.cache_budget_bytes =
-      wide_stats.decomp_bytes + (wide_stats.bytes - wide_stats.decomp_bytes) / 2;
-  svc::AnalysisService tight(squeeze);
-  const auto cold = tight.analyze(derive_request(bench.name, bench.astg, ""));
-  ASSERT_TRUE(cold.ok) << cold.error;
-  const svc::CacheStats cold_stats = tight.stats();
-  ASSERT_EQ(cold_stats.entries, 0);  // over budget -> not retained
-  ASSERT_EQ(cold_stats.decomp_entries, 1);
-  ASSERT_EQ(cold_stats.decompose_runs, 1);
-
-  // The repeat misses the design level but hits the decomposition —
-  // synthesis AND the global-SG rebuild are both skipped, and the bytes
-  // match the wide run exactly.
-  const auto warm = tight.analyze(derive_request(bench.name, bench.astg, ""));
-  ASSERT_TRUE(warm.ok) << warm.error;
-  const svc::CacheStats warm_stats = tight.stats();
-  EXPECT_EQ(warm_stats.decomp_hits, 1);
-  EXPECT_EQ(warm_stats.decompose_runs, 1);
-  ASSERT_NE(warm.canonical_json, nullptr);
-  EXPECT_EQ(*warm.canonical_json, *first.canonical_json);
-  ASSERT_NE(warm.netlist_eqn, nullptr);
-  ASSERT_NE(first.netlist_eqn, nullptr);
-  EXPECT_EQ(*warm.netlist_eqn, *first.netlist_eqn);
-
-  // An explicit-netlist insert records no synthesis products, so a
-  // netlist-free request must re-synthesize once — and its insert
-  // upgrades the resident entry in place for the next one.
-  svc::AnalysisService explicit_first;
+  // An explicit-netlist decomposition keeps no synthesis products, so a
+  // netlist-free request must synthesize once; its decomposition, which
+  // keeps the synthesized circuit, replaces the explicit one as the STG's
+  // shared decomposition.
+  svc::AnalysisService service;
   ASSERT_TRUE(
-      explicit_first
-          .analyze(derive_request(bench.name, bench.astg, bench.eqn))
-          .ok);
-  const auto synth =
-      explicit_first.analyze(derive_request(bench.name, bench.astg, ""));
+      service.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
+  const auto synth = service.analyze(derive_request(bench.name, bench.astg, ""));
   ASSERT_TRUE(synth.ok) << synth.error;
-  const svc::CacheStats upgraded = explicit_first.stats();
+  const svc::CacheStats upgraded = service.stats();
   EXPECT_EQ(upgraded.decomp_hits, 0);
   EXPECT_EQ(upgraded.decomp_misses, 2);
-  EXPECT_EQ(upgraded.decomp_entries, 1);  // one STG, upgraded in place
+  EXPECT_EQ(upgraded.decomp_entries, 2);  // each design holds its own
   EXPECT_EQ(upgraded.decompose_runs, 2);
+
+  // The synthesized netlist sent back explicitly shares that one.
+  ASSERT_NE(synth.netlist_eqn, nullptr);
+  const std::string echoed_eqn = *synth.netlist_eqn;
+  ASSERT_TRUE(
+      service.analyze(derive_request(bench.name, bench.astg, echoed_eqn)).ok);
+  const svc::CacheStats echoed = service.stats();
+  EXPECT_EQ(echoed.decomp_hits, 1);
+  EXPECT_EQ(echoed.decomp_entries, 2);
+  EXPECT_EQ(echoed.decompose_runs, 2);
+
+  // Under a budget of one design, the echoed design evicts the
+  // netlist-free one but keeps the shared synthesized circuit alive: the
+  // netlist-free repeat skips synthesis AND the global-SG rebuild, with
+  // the same bytes.
+  svc::AnalysisService calibrate;
+  ASSERT_TRUE(
+      calibrate.analyze(derive_request(bench.name, bench.astg, "")).ok);
+  svc::ServiceOptions one_design;
+  one_design.cache_budget_bytes = calibrate.stats().bytes * 3 / 2;
+  svc::AnalysisService tight(one_design);
+  ASSERT_TRUE(tight.analyze(derive_request(bench.name, bench.astg, "")).ok);
+  ASSERT_TRUE(
+      tight.analyze(derive_request(bench.name, bench.astg, echoed_eqn)).ok);
+  const svc::CacheStats before = tight.stats();
+  ASSERT_EQ(before.entries, 1);
+  ASSERT_EQ(before.evictions, 1);
+  const auto warm = tight.analyze(derive_request(bench.name, bench.astg, ""));
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(warm.cache_state, "fresh");
+  const svc::CacheStats after = tight.stats();
+  EXPECT_EQ(after.decomp_hits, 2);
+  EXPECT_EQ(after.decompose_runs, 1);
+  ASSERT_NE(warm.canonical_json, nullptr);
+  EXPECT_EQ(*warm.canonical_json, *synth.canonical_json);
+  ASSERT_NE(warm.netlist_eqn, nullptr);
+  EXPECT_EQ(*warm.netlist_eqn, echoed_eqn);
 }
 
-/// The first `count` gate names of a canonical netlist (one equation a
-/// line, "gate = ...").
-std::vector<std::string> first_gates(const std::string& eqn,
-                                     std::size_t count) {
-  std::vector<std::string> gates;
-  for (std::size_t line = 0; line < eqn.size() && gates.size() < count;) {
-    gates.push_back(eqn.substr(line, eqn.find(" = ", line) - line));
-    const auto next = eqn.find('\n', line);
-    if (next == std::string::npos) break;
-    line = next + 1;
+TEST(IncrementalService, EditsShareOneDecompositionUnderAOneDesignBudget) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  svc::AnalysisService wide;
+  ASSERT_TRUE(
+      wide.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
+
+  // Room for one design and a quarter: a decomposition tier below the
+  // designs would get no room for this STG's decomposition. Shared
+  // through the designs, it survives every edit, even as each edited
+  // version evicts the one before.
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = wide.stats().bytes * 5 / 4;
+  svc::AnalysisService service(options);
+  ASSERT_TRUE(
+      service.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
+  constexpr int kEdits = 6;
+  std::string eqn = bench.eqn;
+  for (int edit = 0; edit < kEdits; ++edit) {
+    eqn = duplicate_first_cube(eqn, "ack");
+    const auto response =
+        service.analyze(derive_request(bench.name, bench.astg, eqn));
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.cache_state, "fresh");
   }
-  return gates;
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.decomp_hits, kEdits);
+  EXPECT_EQ(stats.decomp_misses, 1);
+  EXPECT_EQ(stats.decompose_runs, 1);
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.evictions, kEdits);
+  EXPECT_EQ(stats.decomp_entries, 1);
+  EXPECT_LE(stats.bytes, stats.budget_bytes);
+}
+
+TEST(IncrementalService, ASharedDecompositionDiesWithItsLastDesign) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  auto verify = derive_request(bench.name, bench.astg, bench.eqn);
+  verify.mode = svc::RequestMode::verify;
+
+  // Calibrate: the design's footprint after verify and after derive.
+  svc::AnalysisService wide;
+  ASSERT_TRUE(wide.analyze(verify).ok);
+  const std::size_t verified_bytes = wide.stats().bytes;
+  ASSERT_TRUE(
+      wide.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
+  const std::size_t derived_bytes = wide.stats().bytes;
+  ASSERT_LT(verified_bytes, derived_bytes);
+
+  // A budget between the two: the verified design is resident and holds
+  // the decomposition; its derive upgrade outgrows the budget and is
+  // evicted, taking the last hold on the decomposition with it.
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = (verified_bytes + derived_bytes) / 2;
+  svc::AnalysisService service(options);
+  ASSERT_TRUE(service.analyze(verify).ok);
+  EXPECT_EQ(service.stats().decomp_entries, 1);
+  ASSERT_TRUE(
+      service.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
+  svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.entries, 0);
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.decomp_entries, 0);
+
+  // The next edit finds nothing to share and decomposes again.
+  auto edit = verify;
+  edit.eqn = duplicate_first_cube(bench.eqn, "ack");
+  ASSERT_TRUE(service.analyze(edit).ok);
+  stats = service.stats();
+  EXPECT_EQ(stats.decomp_hits, 0);
+  EXPECT_EQ(stats.decomp_misses, 2);
+  EXPECT_EQ(stats.decompose_runs, 2);
+  EXPECT_EQ(stats.decomp_entries, 1);
+
+}
+
+TEST(IncrementalService, InternMapStaysWithinTwiceTheLiveDecompositions) {
+  // Calibrate every bundled design's verified footprint, then stream them
+  // through a budget below any two of them: each admitted design evicts
+  // all the others, so one decomposition stays live while expired slots
+  // pile up behind it until an insert prunes them.
+  std::vector<svc::AnalysisRequest> requests;
+  std::size_t smallest = 0;
+  svc::AnalysisService wide;
+  for (const auto& design : benchdata::all_benchmarks()) {
+    auto request = derive_request(design.name, design.astg, design.eqn);
+    request.mode = svc::RequestMode::verify;
+    const std::size_t before = wide.stats().bytes;
+    ASSERT_TRUE(wide.analyze(request).ok) << design.name;
+    const std::size_t bytes = wide.stats().bytes - before;
+    if (smallest == 0 || bytes < smallest) smallest = bytes;
+    requests.push_back(request);
+  }
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = 2 * smallest - 1;
+  svc::AnalysisService service(options);
+  for (int round = 0; round < 3; ++round)
+    for (const svc::AnalysisRequest& request : requests) {
+      ASSERT_TRUE(service.analyze(request).ok) << request.name;
+      const svc::CacheStats stats = service.stats();
+      EXPECT_LE(stats.entries, 1) << request.name;
+      EXPECT_EQ(stats.decomp_entries, stats.entries) << request.name;
+      EXPECT_LE(service.decomposition_slots(),
+                2 * static_cast<std::size_t>(stats.decomp_entries) + 1)
+          << request.name;
+    }
+  EXPECT_EQ(service.stats().decomp_hits, 0);  // distinct STGs
+}
+
+TEST(IncrementalService, ConcurrentEditStormMatchesColdReportsByteForByte) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const std::vector<std::string> gates = first_gates(bench.eqn, 4);
+  std::vector<std::string> netlists = {bench.eqn};
+  for (const std::string& gate : gates)
+    netlists.push_back(duplicate_first_cube(bench.eqn, gate));
+
+  // Cold references: caching off, one service per netlist.
+  std::map<std::string, std::string> cold;
+  for (const std::string& eqn : netlists) {
+    svc::ServiceOptions off;
+    off.cache_budget_bytes = 0;
+    svc::AnalysisService reference(off);
+    const auto response =
+        reference.analyze(derive_request(bench.name, bench.astg, eqn));
+    ASSERT_TRUE(response.ok) << response.error;
+    cold[eqn] = *response.canonical_json;
+  }
+
+  // Four editors under a budget of about two designs: decompositions are
+  // shared, published and dropped while designs are evicted under them.
+  svc::AnalysisService wide;
+  ASSERT_TRUE(
+      wide.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = wide.stats().bytes * 2;
+  svc::AnalysisService service(options);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::string>> reports(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round)
+        for (std::size_t i = 0; i < netlists.size(); ++i) {
+          const std::string& eqn = netlists[(i + t) % netlists.size()];
+          const auto response = service.analyze(
+              derive_request(bench.name, bench.astg, eqn, /*jobs=*/2));
+          reports[t].push_back(
+              response.ok && response.canonical_json != nullptr
+                  ? eqn + '\x1f' + *response.canonical_json
+                  : "error: " + response.error);
+        }
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(reports[t].size(), kRounds * netlists.size());
+    for (const std::string& report : reports[t]) {
+      const auto split = report.find('\x1f');
+      ASSERT_NE(split, std::string::npos) << report;
+      EXPECT_EQ(report.substr(split + 1), cold[report.substr(0, split)]);
+    }
+  }
+  const svc::CacheStats stats = service.stats();
+  EXPECT_GT(stats.decomp_hits, 0);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LE(stats.bytes, stats.budget_bytes);
 }
 
 /// A scripted editor session over three designs: verify then derive (a
@@ -348,34 +444,34 @@ void edit_session(svc::AnalysisService& service) {
   }
 }
 
-TEST(IncrementalService, TightBudgetEditSessionPinsEveryTiersCounters) {
+TEST(IncrementalService, TightBudgetEditSessionPinsTheDesignTiersCounters) {
   // Calibrate on an unlimited budget, then replay the session under
-  // three eighths of what it left resident: tight enough that both tiers
+  // three eighths of what it left resident: tight enough that designs
   // evict. The counters are pinned, so any change to a charge, to the
-  // eviction order inside a tier, or to the shed order across tiers shows.
+  // eviction order, or to which decompositions are shared shows.
   svc::AnalysisService wide;
   ASSERT_NO_FATAL_FAILURE(edit_session(wide));
   const svc::CacheStats wide_stats = wide.stats();
-  EXPECT_EQ(wide_stats.evictions + wide_stats.decomp_evictions, 0);
+  EXPECT_EQ(wide_stats.evictions, 0);
 
   svc::ServiceOptions options;
-  options.cache_budget_bytes =
-      (wide_stats.bytes + wide_stats.decomp_bytes) * 3 / 8;
+  options.cache_budget_bytes = wide_stats.bytes * 3 / 8;
   svc::AnalysisService tight(options);
   ASSERT_NO_FATAL_FAILURE(edit_session(tight));
   const svc::CacheStats stats = tight.stats();
-  EXPECT_LE(stats.bytes + stats.decomp_bytes, stats.budget_bytes);
+  EXPECT_LE(stats.bytes, stats.budget_bytes);
 
   EXPECT_EQ(stats.hits, 4);
   EXPECT_EQ(stats.misses, 14);
   EXPECT_EQ(stats.upgrades, 3);
-  EXPECT_EQ(stats.evictions, 9);
-  EXPECT_EQ(stats.entries, 5);
+  EXPECT_EQ(stats.evictions, 10);
+  EXPECT_EQ(stats.entries, 4);
 
-  EXPECT_EQ(stats.decomp_hits, 6);
-  EXPECT_EQ(stats.decomp_misses, 8);
-  EXPECT_EQ(stats.decomp_evictions, 5);
-  EXPECT_EQ(stats.decomp_entries, 1);
+  EXPECT_EQ(stats.decomp_hits, 8);
+  EXPECT_EQ(stats.decomp_misses, 6);
+  EXPECT_EQ(stats.decomp_entries, 3);
+  EXPECT_EQ(stats.decomp_evictions, 0);
+  EXPECT_EQ(stats.decomp_bytes, 0u);
 
   expect_no_gate_tier(stats);
 }

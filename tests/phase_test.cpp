@@ -31,8 +31,8 @@ TEST(PhaseArtifacts, PhasesAdvanceOneAtATimeAndMatchTheMonolithicFlow) {
 
   core::run_decompose_phase(artifacts);
   EXPECT_EQ(artifacts.completed, core::Phase::decomposed);
-  EXPECT_FALSE(artifacts.decomposition.jobs.empty());
-  EXPECT_GT(artifacts.decomposition.state_count, 0);
+  EXPECT_FALSE(artifacts.decomposition->jobs.empty());
+  EXPECT_GT(artifacts.decomposition->state_count, 0);
 
   core::run_verify_phase(artifacts);
   EXPECT_EQ(artifacts.completed, core::Phase::verified);
@@ -63,12 +63,12 @@ TEST(PhaseArtifacts, AdvanceRunsOnlyTheMissingPhases) {
   const double decompose_seconds = artifacts.decompose_seconds;
 
   // The upgrade runs derive alone: the decomposition is untouched.
-  const std::size_t job_count = artifacts.decomposition.jobs.size();
+  const std::size_t job_count = artifacts.decomposition->jobs.size();
   core::advance_to_phase(artifacts, core::Phase::derived,
                          core::FlowOptions{});
   EXPECT_EQ(artifacts.completed, core::Phase::derived);
   EXPECT_TRUE(artifacts.has_result);
-  EXPECT_EQ(artifacts.decomposition.jobs.size(), job_count);
+  EXPECT_EQ(artifacts.decomposition->jobs.size(), job_count);
   EXPECT_EQ(artifacts.decompose_seconds, decompose_seconds);
   // The result reads like a monolithic run: decompose time included.
   EXPECT_GE(artifacts.result.seconds, artifacts.result.decompose_seconds);

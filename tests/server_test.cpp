@@ -777,6 +777,36 @@ TEST(Server, EmbeddedNulInDesignTextGetsAStructuredErrorAndSurvives) {
   EXPECT_TRUE(response_ok(lines[1])) << lines[1];
 }
 
+TEST(Server, HugeDeadlineServesAndOutOfRangeJobsAreBadRequests) {
+  TcpHarness harness;
+  TestClient client = TestClient::connect_tcp(harness.port);
+  ASSERT_TRUE(client.connected());
+  // 1e13 ms would overflow the steady clock; the deadline saturates, so
+  // the request is served instead of failing as already expired. A jobs
+  // value outside [0, INT_MAX] is rejected instead of wrapping.
+  client.send(
+      "{\"id\":\"far\",\"design\":{\"bench\":\"adfast\"},"
+      "\"deadline_ms\":10000000000000}\n"
+      "{\"id\":\"wide\",\"design\":{\"bench\":\"adfast\"},"
+      "\"jobs\":4294967297}\n"
+      "{\"id\":\"negative\",\"design\":{\"bench\":\"adfast\"},"
+      "\"jobs\":-1}\n" +
+      bench_request_line("after", "adfast"));
+  client.shutdown_write();
+  const std::vector<std::string> lines = client.read_all();
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(id_of(lines[0]), "far");
+  EXPECT_TRUE(response_ok(lines[0])) << lines[0];
+  for (const int at : {1, 2}) {
+    EXPECT_FALSE(response_ok(lines[at])) << lines[at];
+    EXPECT_NE(lines[at].find("\"code\":\"bad_request\""), std::string::npos)
+        << lines[at];
+    EXPECT_NE(lines[at].find("'jobs'"), std::string::npos) << lines[at];
+  }
+  EXPECT_EQ(id_of(lines[3]), "after");
+  EXPECT_TRUE(response_ok(lines[3])) << lines[3];
+}
+
 TEST(Server, TruncatedUtf8InDesignTextGetsAStructuredErrorAndSurvives) {
   TcpHarness harness;
   TestClient client = TestClient::connect_tcp(harness.port);
