@@ -10,7 +10,9 @@
 // shares the decomposition as is, so the lane's decompose time bounds the
 // service's from above. Emits one JSON document (committed as
 // BENCH_incremental.json at the repo root) with a per-phase breakdown
-// (decompose / expand / render seconds) for both lanes.
+// (decompose / expand / render seconds) for both lanes. "Render" is what
+// the service does per derive: freeze the result into a FlowReport and
+// render its canonical JSON, the only form it keeps.
 //
 // The loop models a designer iterating on one gate of a finished design:
 // the STG is parsed once and stays fixed; each iteration re-parses the
@@ -80,7 +82,7 @@ std::string mutate(const std::string& eqn, const std::string& gate,
 struct PhaseBreakdown {
   double decompose_seconds = 0.0;  // global SG + MG decomposition
   double expand_seconds = 0.0;     // the (component × gate) job graph
-  double render_seconds = 0.0;     // report assembly + text/JSON render
+  double render_seconds = 0.0;     // report assembly + canonical JSON
 };
 
 struct DesignRow {
@@ -139,9 +141,9 @@ int main() {
       const auto render_start = Clock::now();
       const core::FlowReport report =
           core::make_flow_report(bench.name, result, stg.signals);
-      const core::RenderedReport rendered = core::render_report(report);
+      const std::string canonical_json = core::to_canonical_json(report);
       phases.render_seconds += seconds_since(render_start);
-      if (rendered.json_body.empty()) std::abort();  // keep the render live
+      if (canonical_json.empty()) std::abort();  // keep the render live
     };
 
     // Cold: every edit pays netlist parse + decompose + full expansion

@@ -160,9 +160,7 @@ std::uint64_t artifact_fnv1a(const char* data, std::size_t size) {
 std::string encode_artifact(const PersistedArtifact& artifact) {
   std::string payload;
   payload.reserve(artifact.stg_canonical.size() +
-                  artifact.netlist_eqn.size() +
-                  artifact.canonical_json.size() +
-                  artifact.rendered.text.size() + 1024);
+                  artifact.netlist_eqn.size() + 1024);
   put_string(payload, artifact.canonical);
   put_string(payload, artifact.key_hex);
   put_string(payload, artifact.stg_canonical);
@@ -196,10 +194,6 @@ std::string encode_artifact(const PersistedArtifact& artifact) {
       put_constraints(payload, gate.before);
       put_constraints(payload, gate.after);
     }
-    put_string(payload, artifact.canonical_json);
-    put_string(payload, artifact.rendered.thesis);
-    put_string(payload, artifact.rendered.text);
-    put_string(payload, artifact.rendered.json_body);
   }
 
   std::string bytes;
@@ -288,11 +282,6 @@ ArtifactDecodeStatus decode_artifact(const std::string& bytes,
         return corrupt(error, "truncated payload (gate reports)");
       report.gates.push_back(std::move(gate));
     }
-    if (!(reader.get_string(artifact.canonical_json) &&
-          reader.get_string(artifact.rendered.thesis) &&
-          reader.get_string(artifact.rendered.text) &&
-          reader.get_string(artifact.rendered.json_body)))
-      return corrupt(error, "truncated payload (rendered forms)");
   }
   if (reader.remaining() != 0)
     return corrupt(error, "trailing bytes after the payload");

@@ -18,9 +18,11 @@
 // design as a pure cache hit: the canonical cache key and content
 // address, the canonical STG text, the canonical netlist, the verify
 // verdict, and (for speed-independent designs) the structured FlowReport
-// with both derived constraint lists plus the memoized rendered forms —
-// canonical JSON included — verbatim, so a disk-warm response is
-// byte-identical to the cold run that produced the file.
+// with both derived constraint lists. The payload ends at the report:
+// nothing rendered from it is stored. The loader re-renders the canonical
+// JSON from the decoded report, which carries every field the rendering
+// reads, so a disk-warm response is byte-identical to the cold run that
+// produced the file.
 //
 // Decoding is paranoid by construction: every read is bounds-checked,
 // list counts are validated against the remaining payload before any
@@ -40,12 +42,14 @@ namespace sitime::core {
 /// Bump whenever the payload layout changes: a version-(N-1) file is
 /// invalidated (skipped and removed) by a version-N binary, never
 /// misread.
-inline constexpr std::uint32_t kArtifactFormatVersion = 1;
+inline constexpr std::uint32_t kArtifactFormatVersion = 2;
 
 /// The persisted subset of one design-cache entry. The decomposition is
 /// deliberately NOT part of it: only entries whose completed phase
 /// already answers every request mode are spilled, so a loaded entry is
 /// terminal — it serves verify and derive as hits and is never advanced.
+/// Nothing rendered from the report is part of it either: a reader renders
+/// the forms it needs from `report`.
 struct PersistedArtifact {
   std::string canonical;      // full cache key (content + options)
   std::string key_hex;        // public content-address (16 hex digits)
@@ -55,11 +59,9 @@ struct PersistedArtifact {
   Phase completed = Phase::parsed;
   std::string verify_offender;  // empty = speed independent
   /// True when the derive phase produced a report (speed-independent
-  /// designs); the three members below are meaningful exactly then.
+  /// designs); `report` is meaningful exactly then.
   bool has_report = false;
-  FlowReport report;           // structured report, constraint lists included
-  std::string canonical_json;  // deterministic single-line body, verbatim
-  RenderedReport rendered;     // memoized thesis/text/json_body, verbatim
+  FlowReport report;  // structured report, constraint lists included
 };
 
 std::string encode_artifact(const PersistedArtifact& artifact);

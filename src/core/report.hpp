@@ -89,8 +89,9 @@ std::string to_json(const FlowReport& report);
 /// Every rendering of one report that does NOT depend on per-request
 /// provenance (display name, cache_state, phases_run): the thesis text,
 /// the full text layout, and the body of to_json (from the "states" line
-/// to the closing brace). A design cache renders these once per (entry,
-/// phase) and serves them verbatim — a pure cache hit never re-renders.
+/// to the closing brace). No library code keeps these: the design cache
+/// holds only the FlowReport and its canonical JSON. The wire benchmark's
+/// per-layer replay still wraps render_report by symbol.
 struct RenderedReport {
   std::string thesis;     // == thesis_report_text(report)
   std::string text;       // == to_text(report)

@@ -103,8 +103,8 @@ AnalysisService::Parsed AnalysisService::parse_request(
   return parsed;
 }
 
-/// One resident design: the staged PhaseArtifacts plus the rendered
-/// products, advanced in place by lazy phase upgrades.
+/// One resident design: the staged PhaseArtifacts plus the report and its
+/// wire form, advanced in place by lazy phase upgrades.
 ///
 /// Concurrency protocol (all fields below the mutex are guarded by it):
 ///   - `completed` is the highest finished phase; `target` is the goal of
@@ -147,8 +147,7 @@ struct AnalysisService::Entry {
   std::size_t shared_bytes = 0;
   std::shared_ptr<const std::string> netlist_eqn;   // set at decomposed
   std::shared_ptr<const core::FlowReport> report;   // set at derived (SI)
-  std::shared_ptr<const std::string> canonical_json;
-  std::shared_ptr<const core::RenderedReport> rendered;  // set with report
+  std::shared_ptr<const std::string> canonical_json;  // set with report
 
   /// A persistent-store spill was already attempted for this entry (set
   /// true on loaded entries too — they came FROM the store). Guarded by
@@ -193,7 +192,6 @@ struct AnalysisService::Entry {
     if (canonical_json != nullptr)
       total += sizeof(std::string) + heap_bytes(*canonical_json);
     if (report != nullptr) total += footprint(*report);
-    if (rendered != nullptr) total += footprint(*rendered);
     return total;
   }
 };
@@ -428,13 +426,21 @@ core::FlowOptions AnalysisService::flow_options(
   return options;
 }
 
+AnalysisService::ReportForms AnalysisService::report_forms(
+    core::FlowReport report) {
+  ReportForms forms;
+  forms.canonical_json =
+      std::make_shared<const std::string>(core::to_canonical_json(report));
+  forms.report = std::make_shared<const core::FlowReport>(std::move(report));
+  return forms;
+}
+
 AnalysisService::ReportForms AnalysisService::finish_derive(
     const core::PhaseArtifacts& artifacts, const std::string& key_hex,
     RunStats& run) {
   run.derive_ran = true;
   run.derive_seconds = artifacts.derive_seconds;
-  ReportForms forms;
-  if (!artifacts.has_result) return forms;
+  if (!artifacts.has_result) return {};
   ++run.derives;
   const core::FlowResult& result = artifacts.result;
   run.expand_seconds = result.expand_seconds;
@@ -444,14 +450,7 @@ AnalysisService::ReportForms AnalysisService::finish_derive(
   core::FlowReport report =
       core::make_flow_report(/*design=*/"", result, artifacts.stg->signals);
   report.content_hash = key_hex;
-  forms.canonical_json =
-      std::make_shared<const std::string>(core::to_canonical_json(report));
-  // Render the provenance-independent forms once, here, so every later
-  // hit on a cached entry serves them verbatim.
-  forms.rendered = std::make_shared<const core::RenderedReport>(
-      core::render_report(report));
-  forms.report = std::make_shared<const core::FlowReport>(std::move(report));
-  return forms;
+  return report_forms(std::move(report));
 }
 
 std::shared_ptr<const std::string> AnalysisService::decompose_shared(
@@ -628,7 +627,6 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
       if (forms.report != nullptr) {
         entry->report = std::move(forms.report);
         entry->canonical_json = std::move(forms.canonical_json);
-        entry->rendered = std::move(forms.rendered);
       }
       entry->completed = next;
       const bool done = entry->completed >= entry->target;
@@ -719,14 +717,10 @@ void AnalysisService::maybe_spill(const std::shared_ptr<Entry>& entry) {
     artifact.explicit_netlist = entry->explicit_netlist;
     artifact.completed = entry->completed;
     artifact.verify_offender = entry->artifacts.verify_offender;
-    if (entry->report != nullptr && entry->canonical_json != nullptr &&
-        entry->rendered != nullptr) {
-      // The rendered forms are persisted VERBATIM — byte-identity of a
-      // disk-warm response is by construction, not re-rendering.
+    if (entry->report != nullptr) {
+      // Only the report: the load path re-renders its canonical JSON.
       artifact.has_report = true;
       artifact.report = *entry->report;
-      artifact.canonical_json = *entry->canonical_json;
-      artifact.rendered = *entry->rendered;
     }
   }
   // Encode and write outside every lock: disk latency must not stall
@@ -791,7 +785,6 @@ void AnalysisService::respond_from_locked(const Entry& entry,
   if (mode == RequestMode::derive) {
     out.report = entry.report;
     out.canonical_json = entry.canonical_json;
-    out.rendered = entry.rendered;
   }
 }
 
@@ -1044,7 +1037,6 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   response.speed_independent = artifacts.verify_offender.empty();
   response.report = std::move(forms.report);
   response.canonical_json = std::move(forms.canonical_json);
-  response.rendered = std::move(forms.rendered);
   response.seconds = seconds_since(start);
   return response;
 }
@@ -1140,12 +1132,9 @@ int AnalysisService::warm_from_disk() {
     entry->netlist_eqn = std::make_shared<const std::string>(
         std::move(artifact.netlist_eqn));
     if (artifact.has_report) {
-      entry->report = std::make_shared<const core::FlowReport>(
-          std::move(artifact.report));
-      entry->canonical_json = std::make_shared<const std::string>(
-          std::move(artifact.canonical_json));
-      entry->rendered = std::make_shared<const core::RenderedReport>(
-          std::move(artifact.rendered));
+      ReportForms forms = report_forms(std::move(artifact.report));
+      entry->report = std::move(forms.report);
+      entry->canonical_json = std::move(forms.canonical_json);
     }
     entry->spill_attempted = true;  // it came FROM the store
     const std::size_t footprint_now = entry->footprint_bytes();

@@ -9,8 +9,9 @@
 //     NOT the worker count, which the orchestrator guarantees cannot change
 //     any output byte). The cached value is a core::PhaseArtifacts — the
 //     staged products of the flow (parsed design, FlowDecomposition, verify
-//     verdict, derived constraints + rendered report) together with a
-//     record of which phases have completed.
+//     verdict, derived constraints) together with a record of which
+//     phases have completed, the structured FlowReport and its canonical
+//     JSON (the bytes every wire hit sends).
 //   - lazy phase upgrades: because the entry is mode-independent, a design
 //     cached by a verify request answers a later derive request by running
 //     ONLY the derive phase on the cached decomposition ("upgraded"), and a
@@ -152,17 +153,14 @@ struct AnalysisResponse {
   /// parsing/synthesis itself threw or the response came off a coalesced
   /// failure. Shared with the cache entry — responses never copy it.
   std::shared_ptr<const std::string> netlist_eqn;
-  /// The rendered report and its deterministic canonical JSON body; null
-  /// for verify-only requests and failures. The report's content_hash is
-  /// set; cache_state reflects *this* response. Both are shared with the
-  /// cache entry, so serving a hit copies two pointers, not the payload.
+  /// The structured report and its deterministic canonical JSON body (the
+  /// wire form); null for verify-only requests and failures. The report's
+  /// content_hash is set; its provenance fields are not — callers that
+  /// render it stamp this response's name, cache_state and phases_run onto
+  /// a copy. Both are shared with the cache entry, so serving a hit copies
+  /// two pointers, not the payload.
   std::shared_ptr<const core::FlowReport> report;
   std::shared_ptr<const std::string> canonical_json;
-  /// The memoized per-request-independent renderings of `report` (thesis
-  /// text, full text layout, JSON body) — rendered once when the derive
-  /// phase produced the report and served verbatim afterwards, so a pure
-  /// cache hit never re-renders. Null exactly when `report` is.
-  std::shared_ptr<const core::RenderedReport> rendered;
   /// Timed sections of this request; empty unless the request set
   /// trace_spans. Failures keep the spans of the phases that did run, so
   /// a deadline kill is self-explaining.
@@ -283,7 +281,9 @@ class AnalysisService {
   /// cache_dir): reads every store file, decodes and cross-validates it
   /// (format version, payload hash, content-address, canonical-STG
   /// round-trip under the CURRENT parser), and inserts the survivors as
-  /// terminal entries under the normal byte budget. Rejected files are
+  /// terminal entries under the normal byte budget. A file holds the
+  /// FlowReport only; each entry's canonical JSON is rendered from it here,
+  /// the way the derive phase renders it. Rejected files are
   /// deleted and their designs run cold — this method never throws and
   /// never loads anything it cannot prove whole. Returns the number of
   /// entries loaded. No-op without a store.
@@ -336,18 +336,20 @@ class AnalysisService {
     long long expand_subtasks = 0;
     int expand_jobs = 0;
   };
-  /// The shared renderings of one derived report, as entries hold them
-  /// and responses serve them.
+  /// One derived report and its wire form, as entries hold them and
+  /// responses serve them.
   struct ReportForms {
     std::shared_ptr<const core::FlowReport> report;
     std::shared_ptr<const std::string> canonical_json;
-    std::shared_ptr<const core::RenderedReport> rendered;
   };
 
   static Parsed parse_request(const AnalysisRequest& request,
                               const core::ExpandOptions& expand);
+  /// Shares `report` together with its canonical JSON — the one way the
+  /// derive phase and the store load both make the wire form.
+  static ReportForms report_forms(core::FlowReport report);
   /// Records the derive phase `artifacts` just ran in `run` and, when it
-  /// produced constraints, renders the report served under `key_hex`
+  /// produced constraints, builds the report served under `key_hex`
   /// (null forms otherwise). Shared by the single-flight runner and the
   /// bypass, so both count and render a derive identically.
   static ReportForms finish_derive(const core::PhaseArtifacts& artifacts,

@@ -122,9 +122,4 @@ inline std::size_t footprint(const core::FlowReport& report) {
   return total;
 }
 
-inline std::size_t footprint(const core::RenderedReport& rendered) {
-  return sizeof(core::RenderedReport) + heap_bytes(rendered.thesis) +
-         heap_bytes(rendered.text) + heap_bytes(rendered.json_body);
-}
-
 }  // namespace sitime::svc

@@ -25,6 +25,7 @@
 #include "base/fault.hpp"
 #include "benchdata/benchmarks.hpp"
 #include "core/artifact_codec.hpp"
+#include "core/report.hpp"
 #include "svc/analysis_service.hpp"
 #include "svc/disk_store.hpp"
 
@@ -58,6 +59,18 @@ svc::AnalysisRequest bench_request(const std::string& name,
   request.eqn = bench.eqn;
   request.mode = mode;
   return request;
+}
+
+/// `report` with display name `name` and the cache provenance of
+/// `response` stamped on, the way check_hazard renders a response.
+core::FlowReport stamped(const core::FlowReport& report,
+                         const std::string& name,
+                         const svc::AnalysisResponse& response) {
+  core::FlowReport copy = report;
+  copy.design = name;
+  copy.cache_state = response.cache_state;
+  copy.phases_run = response.phases_run;
+  return copy;
 }
 
 svc::ServiceOptions store_options(const std::string& dir, int jobs = 1) {
@@ -111,10 +124,6 @@ core::PersistedArtifact sample_artifact(bool with_report) {
   artifact.report.after = {{"x", "a+", "b-", 2}};
   artifact.report.gates.push_back(
       {"x", {{"x", "a+", "b-", 2}}, {{"x", "a+", "b-", 2}}});
-  artifact.canonical_json = "{\"design\":\"m\"}";
-  artifact.rendered.thesis = "thesis line";
-  artifact.rendered.text = "full text";
-  artifact.rendered.json_body = "{\"design\":\"m\",\"body\":1}";
   return artifact;
 }
 
@@ -151,10 +160,11 @@ void expect_equal(const core::PersistedArtifact& a,
     EXPECT_EQ(a.report.gates[i].after.size(),
               b.report.gates[i].after.size());
   }
-  EXPECT_EQ(a.canonical_json, b.canonical_json);
-  EXPECT_EQ(a.rendered.thesis, b.rendered.thesis);
-  EXPECT_EQ(a.rendered.text, b.rendered.text);
-  EXPECT_EQ(a.rendered.json_body, b.rendered.json_body);
+  // Nothing rendered is stored, so every rendering must come out of the
+  // decoded fields alone.
+  EXPECT_EQ(core::to_canonical_json(a.report),
+            core::to_canonical_json(b.report));
+  EXPECT_EQ(core::to_json(a.report), core::to_json(b.report));
 }
 
 // ---- artifact codec --------------------------------------------------------
@@ -260,17 +270,18 @@ TEST(DiskWarmCache, RestartServesSpilledDesignsAsDiskHits) {
   TempDir dir;
   const std::vector<std::string> designs = {"imec-ram-read-sbuf",
                                             "imec-sbuf-read-ctl"};
-  std::map<std::string, std::string> cold_json;
+  std::map<std::string, svc::AnalysisResponse> cold;
   {
-    svc::AnalysisService cold(store_options(dir.path));
+    svc::AnalysisService service(store_options(dir.path));
     for (const std::string& name : designs) {
       const svc::AnalysisResponse response =
-          cold.analyze(bench_request(name));
+          service.analyze(bench_request(name));
       ASSERT_TRUE(response.ok) << response.error;
       ASSERT_NE(response.canonical_json, nullptr);
-      cold_json[name] = *response.canonical_json;
+      ASSERT_NE(response.report, nullptr);
+      cold[name] = response;
     }
-    const svc::CacheStats stats = cold.stats();
+    const svc::CacheStats stats = service.stats();
     EXPECT_EQ(stats.disk_writes, 2);
     EXPECT_EQ(stats.disk_write_errors, 0);
   }
@@ -287,9 +298,24 @@ TEST(DiskWarmCache, RestartServesSpilledDesignsAsDiskHits) {
       ASSERT_TRUE(response.ok) << response.error;
       EXPECT_EQ(response.cache_state, "hit") << name;
       ASSERT_NE(response.canonical_json, nullptr) << name;
-      EXPECT_EQ(*response.canonical_json, cold_json[name]) << name;
-      ASSERT_NE(response.rendered, nullptr) << name;
-      EXPECT_FALSE(response.rendered->json_body.empty());
+      EXPECT_EQ(*response.canonical_json, *cold[name].canonical_json)
+          << name;
+      // The store holds only the report: the wire form is re-rendered
+      // from it at load, and every other rendering of the loaded report
+      // matches the cold run's.
+      ASSERT_NE(response.report, nullptr) << name;
+      EXPECT_EQ(*response.canonical_json,
+                core::to_canonical_json(*response.report))
+          << name;
+      const core::FlowReport& cold_report = *cold[name].report;
+      EXPECT_EQ(core::to_text(*response.report), core::to_text(cold_report))
+          << name;
+      EXPECT_EQ(core::thesis_report_text(*response.report),
+                core::thesis_report_text(cold_report))
+          << name;
+      EXPECT_EQ(core::to_json(stamped(*response.report, name, response)),
+                core::to_json(stamped(cold_report, name, response)))
+          << name;
       ASSERT_NE(response.netlist_eqn, nullptr) << name;
     }
     const svc::CacheStats stats = warm.stats();

@@ -137,8 +137,8 @@ TEST(IncrementalService, ReportBytesIdenticalAcrossCacheTemperatures) {
     EXPECT_EQ(*warm.canonical_json, *reference.canonical_json)
         << "jobs=" << jobs;
     EXPECT_GT(service.stats().decomp_hits, 0);
-    // Full hit: the memoized rendering is served verbatim — the very
-    // same RenderedReport object, never re-rendered.
+    // Full hit: the entry's report and wire form are served as they are
+    // — the very same objects, never re-rendered.
     const auto full = service.analyze(
         derive_request(bench.name, bench.astg, mutated, jobs));
     ASSERT_TRUE(full.ok) << full.error;
@@ -146,10 +146,9 @@ TEST(IncrementalService, ReportBytesIdenticalAcrossCacheTemperatures) {
     ASSERT_NE(full.canonical_json, nullptr);
     EXPECT_EQ(*full.canonical_json, *reference.canonical_json)
         << "jobs=" << jobs;
-    ASSERT_NE(full.rendered, nullptr);
-    ASSERT_NE(warm.rendered, nullptr);
-    EXPECT_EQ(full.rendered.get(), warm.rendered.get());
-    EXPECT_EQ(full.rendered->json_body, warm.rendered->json_body);
+    EXPECT_EQ(full.canonical_json.get(), warm.canonical_json.get());
+    ASSERT_NE(full.report, nullptr);
+    EXPECT_EQ(full.report.get(), warm.report.get());
   }
 }
 

@@ -113,26 +113,8 @@ DesignOutcome process_design(const DesignInput& input,
                     "fork)";
     return outcome;
   }
-  // The cached report body is name-free and the service memoizes its
-  // renderings; serve those verbatim, prefixing this request's display
-  // name and cache provenance where the format carries them (the JSON
-  // head; the text layouts are name-free by construction). A pure cache
-  // hit re-renders nothing.
-  if (response.rendered != nullptr) {
-    if (options.json)
-      outcome.json = core::json_report_head(input.name, response.key,
-                                            response.cache_state,
-                                            response.phases_run) +
-                     response.rendered->json_body;
-    else if (legacy)
-      outcome.text = response.rendered->thesis;
-    else
-      outcome.text = response.rendered->text;
-    outcome.ok = true;
-    return outcome;
-  }
-  // Responses without memoized renderings (a single-flight bypass of an
-  // older service): stamp provenance onto a copy and render here.
+  // The cached report is name-free: stamp this request's display name and
+  // cache provenance onto a copy and render that.
   core::FlowReport report = *response.report;
   report.design = input.name;
   report.cache_state = response.cache_state;

@@ -19,16 +19,16 @@ decompose/verify/derive re-runs) with report JSON byte-identical to the
 cold pass. DIR is optional; without it a temp directory is used and
 removed afterwards.
 
-With --mutate the replay exercises the decomposition cache instead:
-after replaying the suite once, every design with a dumped netlist is
-re-sent once per gate with that gate's equation edited (its first cube
+With --mutate the replay exercises shared decompositions instead: after
+replaying the suite once, every design with a dumped netlist is re-sent
+once per gate with that gate's equation edited (its first cube
 duplicated — same function, different text, so the whole-design key misses
 while the STG stays put). The edited passes must all run "fresh" (no
-design-cache hit), must each hit the STG-keyed decomposition cache
-(decomp_hits grows by exactly the number of edits and decompose_runs does
-not move — the netlist-only edits never rebuild the global SG), and must
-produce reports byte-identical to the same edits on a second, cold server
-process.
+design-cache hit), must each share the decomposition a resident entry of
+the same STG already holds (decomp_hits grows by exactly the number of
+edits and decompose_runs does not move — the netlist-only edits never
+rebuild the global SG), and must produce reports byte-identical to the
+same edits on a second, cold server process.
 """
 import glob
 import json
