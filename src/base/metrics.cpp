@@ -111,23 +111,6 @@ MetricCounter& MetricsRegistry::counter(const std::string& name,
   return *family.series.back()->counter;
 }
 
-MetricGauge& MetricsRegistry::gauge(const std::string& name,
-                                    const std::string& help,
-                                    const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Family& family = family_locked(name, help, "gauge");
-  if (Series* existing = find_series_locked(family, labels)) {
-    check(existing->gauge != nullptr,
-          "MetricsRegistry: '" + name + "' series is not a plain gauge");
-    return *existing->gauge;
-  }
-  auto series = std::make_unique<Series>();
-  series->labels = labels;
-  series->gauge = std::make_unique<MetricGauge>();
-  family.series.push_back(std::move(series));
-  return *family.series.back()->gauge;
-}
-
 MetricHistogram& MetricsRegistry::histogram(const std::string& name,
                                             const std::string& help,
                                             std::vector<double> bounds,
@@ -223,9 +206,6 @@ std::string MetricsRegistry::render_prometheus() const {
       if (series->counter != nullptr) {
         append_sample(out, family->name, series->labels, "",
                       static_cast<double>(series->counter->value()));
-      } else if (series->gauge != nullptr) {
-        append_sample(out, family->name, series->labels, "",
-                      static_cast<double>(series->gauge->value()));
       } else if (series->histogram != nullptr) {
         const MetricHistogram::Snapshot snap = series->histogram->snapshot();
         const std::vector<double>& bounds = series->histogram->bounds();

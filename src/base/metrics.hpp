@@ -1,6 +1,7 @@
 // Dependency-free metrics primitives for the resident service: sharded
-// atomic counters, gauges and fixed-boundary latency histograms, collected
-// in a registry that renders Prometheus text exposition format.
+// atomic counters and fixed-boundary latency histograms, collected in a
+// registry that renders Prometheus text exposition format. Gauges are
+// scrape-time callbacks over state another object owns.
 //
 // Design constraints, in order:
 //   - the RECORD side is the hot path (a counter bump per cache lookup, a
@@ -15,15 +16,15 @@
 //   - metric OBJECTS are owned by the registry and never move or die while
 //     it lives, so instrumented code holds plain pointers with no
 //     lifetime protocol on the record path. Callback metrics (scrape-time
-//     reads of pre-existing atomics elsewhere — an SgCache hit counter, a
-//     queue depth) are the one exception: they are registered with an
-//     owner tag and MUST be removed (remove_callbacks) before whatever
-//     they read dies.
+//     reads of state another object owns — an SgCache hit counter, a
+//     queue depth, a cache tier's resident bytes) are the one exception:
+//     they are registered with an owner tag and MUST be removed
+//     (remove_callbacks) before whatever they read dies.
 //
 // The registry is the single source of truth for exposition: everything
 // the server publishes — {"stats": true} aliases included — reads through
-// it, either from registry-owned metrics or from callbacks over the one
-// authoritative atomic elsewhere.
+// it. An outcome the owning component decides is a registry counter;
+// a callback reads only state that another object owns.
 #pragma once
 
 #include <atomic>
@@ -66,19 +67,6 @@ class MetricCounter {
     std::atomic<long long> value{0};
   };
   Shard shards_[metrics_detail::kShards];
-};
-
-/// Last-write-wins instantaneous value (queue depth, resident bytes).
-class MetricGauge {
- public:
-  void set(long long value) { value_.store(value, std::memory_order_relaxed); }
-  void add(long long delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  long long value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<long long> value_{0};
 };
 
 /// Fixed-boundary histogram: `bounds` are strictly increasing inclusive
@@ -134,8 +122,6 @@ class MetricsRegistry {
  public:
   MetricCounter& counter(const std::string& name, const std::string& help,
                          const std::string& labels = "");
-  MetricGauge& gauge(const std::string& name, const std::string& help,
-                     const std::string& labels = "");
   MetricHistogram& histogram(const std::string& name, const std::string& help,
                              std::vector<double> bounds,
                              const std::string& labels = "");
@@ -162,7 +148,6 @@ class MetricsRegistry {
     std::string labels;
     // Exactly one of these is set.
     std::unique_ptr<MetricCounter> counter;
-    std::unique_ptr<MetricGauge> gauge;
     std::unique_ptr<MetricHistogram> histogram;
     std::function<double()> read;  // callback series
     const void* owner = nullptr;   // callback series only

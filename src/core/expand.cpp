@@ -5,6 +5,7 @@
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
+#include "base/metrics.hpp"
 #include "core/local_stg.hpp"
 #include "sg/regions.hpp"
 
@@ -150,8 +151,7 @@ void Expander::expand_children(std::vector<stg::MgStg> subs,
         expand_inner(std::move(subs[i]), gate, slots[i], depth);
       } catch (const base::CancelledError&) {
         if (options_.cancelled_subtasks != nullptr)
-          options_.cancelled_subtasks->fetch_add(1,
-                                                 std::memory_order_relaxed);
+          options_.cancelled_subtasks->inc();
         record_error();
       } catch (...) {
         record_error();

@@ -34,6 +34,10 @@
 #include "core/or_causality.hpp"
 #include "sg/sg_cache.hpp"
 
+namespace sitime::base {
+class MetricCounter;
+}  // namespace sitime::base
+
 namespace sitime::core {
 
 struct ExpandOptions {
@@ -68,9 +72,9 @@ struct ExpandOptions {
   /// completed run cannot depend on when a cancel landed).
   base::CancelToken cancel;
   /// When set, counts subSTG subtasks that observed the cancel and
-  /// unwound (the service exposes this as the `cancelled_subtasks` stats
-  /// counter).
-  std::atomic<long long>* cancelled_subtasks = nullptr;
+  /// unwound (the service points it at its registry counter behind the
+  /// `cancelled_subtasks` stat).
+  base::MetricCounter* cancelled_subtasks = nullptr;
 };
 
 /// Thrown when a defensive resource bound (max_steps, max_depth) trips.

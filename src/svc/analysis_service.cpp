@@ -235,10 +235,8 @@ struct AnalysisService::SharedDecomposition {
 
 AnalysisService::AnalysisService(ServiceOptions options)
     : options_(std::move(options)), designs_(options_.cache_budget_bytes) {
-  // The persistent store opens before the metric registrations so the
-  // sitime_disk_store_* callbacks can read it unconditionally. A store
-  // that failed to open stays constructed (ok() false) for the boot
-  // diagnostics; it never loads and never saves.
+  // A store that failed to open stays constructed (ok() false) for the
+  // boot diagnostics; it never loads and never saves.
   if (!options_.cache_dir.empty())
     disk_store_ = std::make_unique<DiskStore>(options_.cache_dir);
   register_metrics();
@@ -251,6 +249,13 @@ AnalysisService::AnalysisService(ServiceOptions options)
 AnalysisService::~AnalysisService() = default;
 
 void AnalysisService::register_metrics() {
+  // Scrape-time callbacks read state another object owns. Owner tag
+  // `this`: the registry is a member, so everything these read outlives
+  // every render.
+  auto cb = [this](const char* name, const char* help, const char* type,
+                   std::function<double()> read) {
+    metrics_.callback(this, name, help, type, "", std::move(read));
+  };
   const char* kRequests = "sitime_design_cache_requests_total";
   const char* kRequestsHelp =
       "Requests by design-cache outcome: hit (every needed phase "
@@ -262,11 +267,15 @@ void AnalysisService::register_metrics() {
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"upgrade\"");
   coalesced_ =
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"coalesced\"");
-  designs_.register_metrics(
-      metrics_, this, "sitime_design_cache",
-      {.evictions = "Design-cache entries dropped by the byte budget.",
-       .entries = "Resident design-cache entries.",
-       .bytes = "Estimated resident footprint of the design cache."});
+  cb("sitime_design_cache_evictions_total",
+     "Design-cache entries dropped by the byte budget.", "counter",
+     [this] { return static_cast<double>(designs_.stats().evictions); });
+  cb("sitime_design_cache_entries", "Resident design-cache entries.",
+     "gauge",
+     [this] { return static_cast<double>(designs_.stats().entries); });
+  cb("sitime_design_cache_bytes",
+     "Estimated resident footprint of the design cache.", "gauge",
+     [this] { return static_cast<double>(designs_.bytes()); });
   failures_ = &metrics_.counter(
       "sitime_request_failures_total",
       "Requests that ended in an error (every error_code).");
@@ -311,19 +320,9 @@ void AnalysisService::register_metrics() {
       "sitime_sg_build_seconds", "Local state-graph build latency.",
       base::MetricHistogram::default_latency_bounds());
 
-  // Scrape-time callbacks over the authoritative atomics that live
-  // outside the registry. Owner tag `this`: the registry is a member, so
-  // everything these read outlives every render.
-  auto cb = [this](const char* name, const char* help, const char* type,
-                   std::function<double()> read) {
-    metrics_.callback(this, name, help, type, "", std::move(read));
-  };
-  cb("sitime_cancelled_subtasks_total",
-     "OR-causality subtasks that observed a cancel and unwound early.",
-     "counter", [this] {
-       return static_cast<double>(
-           cancelled_subtasks_.load(std::memory_order_relaxed));
-     });
+  cancelled_subtasks_ = &metrics_.counter(
+      "sitime_cancelled_subtasks_total",
+      "OR-causality subtasks that observed a cancel and unwound early.");
   cb("sitime_cache_budget_bytes",
      "Byte budget of the design cache (shared decompositions are charged "
      "to the designs that hold them).",
@@ -354,44 +353,24 @@ void AnalysisService::register_metrics() {
   // Persistent-store counters: registered unconditionally (zero without
   // --cache-dir) so dashboards and the metrics_check catalog see a
   // stable family set regardless of deployment flags.
-  cb("sitime_disk_store_writes_total",
-     "Design entries spilled to the persistent store (--cache-dir).",
-     "counter", [this] {
-       return disk_store_ != nullptr
-                  ? static_cast<double>(disk_store_->writes())
-                  : 0.0;
-     });
-  cb("sitime_disk_store_write_errors_total",
-     "Persistent-store spills dropped by an I/O failure (the in-memory "
-     "entry and the response are unaffected).",
-     "counter", [this] {
-       return disk_store_ != nullptr
-                  ? static_cast<double>(disk_store_->write_errors())
-                  : 0.0;
-     });
-  cb("sitime_disk_store_loads_total",
-     "Design entries warm-started from the persistent store at boot.",
-     "counter", [this] {
-       return disk_store_ != nullptr
-                  ? static_cast<double>(disk_store_->loads())
-                  : 0.0;
-     });
-  cb("sitime_disk_store_load_skips_total",
-     "Store files rejected at boot for a stale format version or a "
-     "content-address mismatch (deleted; the design runs cold).",
-     "counter", [this] {
-       return disk_store_ != nullptr
-                  ? static_cast<double>(disk_store_->load_skips())
-                  : 0.0;
-     });
-  cb("sitime_disk_store_load_corrupt_total",
-     "Store files rejected at boot as unreadable, truncated or "
-     "bit-flipped (deleted; the design runs cold).",
-     "counter", [this] {
-       return disk_store_ != nullptr
-                  ? static_cast<double>(disk_store_->load_corrupt())
-                  : 0.0;
-     });
+  disk_writes_ = &metrics_.counter(
+      "sitime_disk_store_writes_total",
+      "Design entries spilled to the persistent store (--cache-dir).");
+  disk_write_errors_ = &metrics_.counter(
+      "sitime_disk_store_write_errors_total",
+      "Persistent-store spills dropped by an I/O failure (the in-memory "
+      "entry and the response are unaffected).");
+  disk_loads_ = &metrics_.counter(
+      "sitime_disk_store_loads_total",
+      "Design entries warm-started from the persistent store at boot.");
+  disk_load_skips_ = &metrics_.counter(
+      "sitime_disk_store_load_skips_total",
+      "Store files rejected at boot for a stale format version or a "
+      "content-address mismatch (deleted; the design runs cold).");
+  disk_load_corrupt_ = &metrics_.counter(
+      "sitime_disk_store_load_corrupt_total",
+      "Store files rejected at boot as unreadable, truncated or "
+      "bit-flipped (deleted; the design runs cold).");
 
   // Pool utilization: the pool the request job graphs are admitted onto.
   auto pool = [this]() -> base::ThreadPool& {
@@ -418,7 +397,7 @@ core::FlowOptions AnalysisService::flow_options(
     int request_jobs, const core::CancelToken& cancel) {
   core::FlowOptions options;
   options.expand = options_.expand;
-  options.expand.cancelled_subtasks = &cancelled_subtasks_;
+  options.expand.cancelled_subtasks = cancelled_subtasks_;
   options.jobs = request_jobs > 0 ? request_jobs : options_.jobs;
   options.pool = options_.pool;
   options.sg_cache = &sg_cache_;
@@ -725,7 +704,10 @@ void AnalysisService::maybe_spill(const std::shared_ptr<Entry>& entry) {
   }
   // Encode and write outside every lock: disk latency must not stall
   // requests coalescing on the entry or the cache indexes.
-  disk_store_->save(artifact.key_hex, core::encode_artifact(artifact));
+  if (disk_store_->save(artifact.key_hex, core::encode_artifact(artifact)))
+    disk_writes_->inc();
+  else
+    disk_write_errors_->inc();
 }
 
 void AnalysisService::record_run_metrics(const RunStats& run, bool cold) {
@@ -1066,7 +1048,7 @@ int AnalysisService::warm_from_disk() {
     // runs cold — rejection is never an error.
     std::string bytes;
     if (!disk_store_->read_file(path, bytes)) {
-      disk_store_->note_corrupt();
+      disk_load_corrupt_->inc();
       disk_store_->remove_file(path);
       continue;
     }
@@ -1074,12 +1056,12 @@ int AnalysisService::warm_from_disk() {
     const core::ArtifactDecodeStatus status =
         core::decode_artifact(bytes, artifact);
     if (status == core::ArtifactDecodeStatus::version_mismatch) {
-      disk_store_->note_skip();
+      disk_load_skips_->inc();
       disk_store_->remove_file(path);
       continue;
     }
     if (status != core::ArtifactDecodeStatus::ok) {
-      disk_store_->note_corrupt();
+      disk_load_corrupt_->inc();
       disk_store_->remove_file(path);
       continue;
     }
@@ -1096,7 +1078,7 @@ int AnalysisService::warm_from_disk() {
                   !artifact.verify_offender.empty();
     if (fnv1a_hex(artifact.canonical) != artifact.key_hex ||
         disk_store_->path_for(artifact.key_hex) != path || !terminal) {
-      disk_store_->note_skip();
+      disk_load_skips_->inc();
       disk_store_->remove_file(path);
       continue;
     }
@@ -1109,12 +1091,12 @@ int AnalysisService::warm_from_disk() {
       stg = std::make_shared<const stg::Stg>(
           stg::parse_astg(artifact.stg_canonical));
     } catch (const std::exception&) {
-      disk_store_->note_corrupt();
+      disk_load_corrupt_->inc();
       disk_store_->remove_file(path);
       continue;
     }
     if (stg::write_astg(*stg) != artifact.stg_canonical) {
-      disk_store_->note_skip();
+      disk_load_skips_->inc();
       disk_store_->remove_file(path);
       continue;
     }
@@ -1146,11 +1128,11 @@ int AnalysisService::warm_from_disk() {
           inflight_.find(entry->canonical) != inflight_.end())
         continue;
       if (!designs_.insert(entry->canonical, entry, footprint_now)) {
-        disk_store_->note_skip();
+        disk_load_skips_->inc();
         continue;  // served cold this generation; keep the file
       }
     }
-    disk_store_->note_load();
+    disk_loads_->inc();
     ++loaded;
   }
   return loaded;
@@ -1169,7 +1151,7 @@ CacheStats AnalysisService::stats() const {
   stats.coalesced = coalesced_->value();
   stats.failures = failures_->value();
   stats.deadline_exceeded = deadline_exceeded_->value();
-  stats.cancelled_subtasks = cancelled_subtasks_;
+  stats.cancelled_subtasks = cancelled_subtasks_->value();
   stats.decompose_runs = decompose_runs_->value();
   stats.verify_runs = verify_runs_->value();
   stats.derive_runs = derive_runs_->value();
@@ -1185,13 +1167,11 @@ CacheStats AnalysisService::stats() const {
   stats.decomp_misses = decomp_misses_->value();
   stats.decomp_entries =
       live_decompositions_.load(std::memory_order_relaxed);
-  if (disk_store_ != nullptr) {
-    stats.disk_writes = disk_store_->writes();
-    stats.disk_write_errors = disk_store_->write_errors();
-    stats.disk_loads = disk_store_->loads();
-    stats.disk_load_skips = disk_store_->load_skips();
-    stats.disk_load_corrupt = disk_store_->load_corrupt();
-  }
+  stats.disk_writes = disk_writes_->value();
+  stats.disk_write_errors = disk_write_errors_->value();
+  stats.disk_loads = disk_loads_->value();
+  stats.disk_load_skips = disk_load_skips_->value();
+  stats.disk_load_corrupt = disk_load_corrupt_->value();
   return stats;
 }
 

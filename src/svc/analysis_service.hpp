@@ -291,7 +291,8 @@ class AnalysisService {
 
   /// The persistent store behind --cache-dir; null when persistence is
   /// off. Exposed so the boot path can report an unusable directory
-  /// (store->ok() false) and tests can inspect counters and files.
+  /// (store->ok() false) and tests can inspect its files. Its outcomes
+  /// are counted in stats() and metrics(), not by the store.
   const DiskStore* disk_store() const { return disk_store_.get(); }
 
   CacheStats stats() const;
@@ -304,7 +305,8 @@ class AnalysisService {
 
   /// The service-wide metric registry: the single source of truth every
   /// exposition surface (Prometheus text, {"stats": true} aliases) reads
-  /// through. Layers above (svc::Server) register their own metrics here
+  /// through, and the only place an outcome the service decides is
+  /// counted. Layers above (svc::Server) register their own metrics here
   /// with owner-tagged callbacks and MUST remove_callbacks() before they
   /// die; the registry outlives everything its own callbacks read.
   base::MetricsRegistry& metrics() { return metrics_; }
@@ -407,8 +409,8 @@ class AnalysisService {
   /// every request mode), idle, and not yet spilled. Called by the
   /// single-flight runner after finish_run, BEFORE its response returns,
   /// so a client that saw the answer can kill the server and still find
-  /// the artifact durable. Best-effort: failures only bump the write
-  /// error counter. No-op without a store.
+  /// the artifact durable. Best-effort: counts the write or the write
+  /// error and changes nothing else. No-op without a store.
   void maybe_spill(const std::shared_ptr<Entry>& entry);
   void respond_from_locked(const Entry& entry, RequestMode mode,
                            const char* cache_state,
@@ -440,16 +442,11 @@ class AnalysisService {
   /// finishes (moved into the design tier on success when it admits them).
   std::unordered_map<std::string, std::shared_ptr<Entry>> inflight_;
 
-  /// Exception to the registry-owned rule: core::ExpandOptions carries a
-  /// raw pointer to this atomic into the expansion hot loops, so the one
-  /// authoritative count lives here and the registry reads it through a
-  /// callback.
-  std::atomic<long long> cancelled_subtasks_{0};
-
-  // The metric registry and the registry-owned counters every stat below
-  // reads through (lock-free inc on the hot paths; {"stats": true} is the
-  // alias view over ->value()). Declared after the caches the
-  // constructor's callbacks read, destroyed before nothing that renders.
+  // The metric registry and the registry-owned counters every stat reads
+  // through (lock-free inc on the hot paths; {"stats": true} is the alias
+  // view over ->value()). Its callbacks read only state another member
+  // owns (the design tier, the SgCache, the live-decomposition count, the
+  // pool). Declared after those members, so it dies first.
   base::MetricsRegistry metrics_;
   base::MetricCounter* hits_ = nullptr;
   base::MetricCounter* misses_ = nullptr;
@@ -464,6 +461,13 @@ class AnalysisService {
   base::MetricCounter* decomp_misses_ = nullptr;
   base::MetricCounter* expand_steps_ = nullptr;
   base::MetricCounter* expand_subtasks_ = nullptr;
+  /// Handed to every flow through core::ExpandOptions.
+  base::MetricCounter* cancelled_subtasks_ = nullptr;
+  base::MetricCounter* disk_writes_ = nullptr;
+  base::MetricCounter* disk_write_errors_ = nullptr;
+  base::MetricCounter* disk_loads_ = nullptr;
+  base::MetricCounter* disk_load_skips_ = nullptr;
+  base::MetricCounter* disk_load_corrupt_ = nullptr;
   /// Per-phase latency histograms, [phase 0..3 = parse/decompose/verify/
   /// derive][source 0 = cold, 1 = upgrade]. parse never upgrades, so
   /// [0][1] stays null.

@@ -4,51 +4,29 @@
 // carries the byte charge its caller computed (the calibrated model in
 // svc/footprint.hpp). The tier owns its byte budget: an insert or a
 // re-charge that takes it past the budget sheds least-recently-used
-// entries until it fits again. It keeps hit/miss/eviction counters plus
-// its resident entry and byte counts. The service keeps its resident
-// designs in one; the decompositions those designs hold are shared
-// through them, not cached in a tier of their own.
+// entries until it fits again. It counts its evictions and its resident
+// entries and bytes, the state only it owns; hits and misses are the
+// caller's outcomes to count. The service keeps its resident designs in
+// one; the decompositions those designs hold are shared through them, not
+// cached in a tier of their own.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
-
-#include "base/metrics.hpp"
 
 namespace sitime::svc {
 
-/// Point-in-time counters of one tier: hits, misses and evictions are
-/// monotonic; entries and bytes track the resident set.
+/// Point-in-time counters of one tier: evictions is monotonic; entries
+/// and bytes track the resident set.
 struct CacheTierStats {
-  long long hits = 0;
-  long long misses = 0;
   long long evictions = 0;
   int entries = 0;
   std::size_t bytes = 0;
 };
-
-/// HELP texts of a tier's metric families; a null text skips its family.
-struct CacheTierHelp {
-  const char* hits = nullptr;
-  const char* misses = nullptr;
-  const char* evictions = nullptr;
-  const char* entries = nullptr;
-  const char* bytes = nullptr;
-};
-
-/// Registers `<prefix>_hits_total`, `_misses_total`, `_evictions_total`,
-/// `_entries` and `_bytes` as scrape-time callbacks over `read`, tagged
-/// `owner`, skipping each family whose HELP text is null.
-void register_tier_metrics(base::MetricsRegistry& registry, const void* owner,
-                           const std::string& prefix,
-                           const CacheTierHelp& help,
-                           std::function<CacheTierStats()> read);
 
 template <typename Key, typename Value>
 class CacheTier {
@@ -64,38 +42,22 @@ class CacheTier {
 
   CacheTierStats stats() const {
     CacheTierStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
     stats.evictions = evictions_.load(std::memory_order_relaxed);
     stats.entries = entries_.load(std::memory_order_relaxed);
     stats.bytes = bytes();
     return stats;
   }
 
-  void register_metrics(base::MetricsRegistry& registry, const void* owner,
-                        const std::string& prefix,
-                        const CacheTierHelp& help) const {
-    register_tier_metrics(registry, owner, prefix, help,
-                          [this] { return stats(); });
-  }
-
-  /// The value under `key`, or null; counts a hit or a miss. A hit
-  /// refreshes LRU order.
+  /// The value under `key`, or null. A hit refreshes LRU order.
   Ptr lookup(const Key& key) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto found = index_.find(key);
-      if (found != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, found->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return found->second->value;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto found = index_.find(key);
+    if (found == index_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, found->second);
+    return found->second->value;
   }
 
-  /// Uncounted, and leaves LRU order alone.
+  /// Whether `key` is resident; leaves LRU order alone.
   bool contains(const Key& key) const {
     std::lock_guard<std::mutex> lock(mutex_);
     return index_.count(key) != 0;
@@ -163,8 +125,6 @@ class CacheTier {
   const std::size_t budget_;
   std::atomic<std::size_t> bytes_{0};
   std::atomic<int> entries_{0};
-  std::atomic<long long> hits_{0};
-  std::atomic<long long> misses_{0};
   std::atomic<long long> evictions_{0};
 
   mutable std::mutex mutex_;

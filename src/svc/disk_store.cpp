@@ -88,18 +88,12 @@ std::string DiskStore::path_for(const std::string& key_hex) const {
 }
 
 bool DiskStore::save(const std::string& key_hex, const std::string& bytes) {
-  if (base::fault_fires(base::FaultPoint::disk_store_write)) {
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (base::fault_fires(base::FaultPoint::disk_store_write)) return false;
   const std::string temp_path = dir_ + "/" + key_hex + kTempSuffix;
   const std::string final_path = path_for(key_hex);
   const int fd =
       ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (fd < 0) return false;
   std::size_t written = 0;
   bool io_ok = true;
   while (written < bytes.size()) {
@@ -116,11 +110,9 @@ bool DiskStore::save(const std::string& key_hex, const std::string& bytes) {
   ::close(fd);
   if (!io_ok || ::rename(temp_path.c_str(), final_path.c_str()) != 0) {
     ::unlink(temp_path.c_str());
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   sync_directory(dir_);
-  writes_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -14,18 +14,17 @@
 // reader never observes a half-written .sit file and a crash at ANY
 // instant leaves the store servable (either the old bytes, the new
 // bytes, or a .tmp the next boot sweeps). Everything is best-effort and
-// non-throwing: an I/O failure is a counter bump and a false return,
-// never an exception into the serving path.
+// non-throwing: an I/O failure is a false return, never an exception
+// into the serving path.
 //
 // The store is a dumb byte mover by design — it never decodes what it
-// carries. Validation (format version, payload hash, content-address
-// cross-checks) belongs to AnalysisService::warm_from_disk, which owns
-// the skip/corrupt policy; the store just exposes the counters both
-// sides bump so {"stats": true} and the sitime_disk_store_* metric
-// families read one source of truth.
+// carries and counts nothing. Validation (format version, payload hash,
+// content-address cross-checks) belongs to AnalysisService::warm_from_disk,
+// which owns the skip/corrupt policy; the service counts every write and
+// load outcome in its metric registry (the sitime_disk_store_* families,
+// read back by {"stats": true}).
 #pragma once
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -50,9 +49,9 @@ class DiskStore {
   std::string path_for(const std::string& key_hex) const;
 
   /// Crash-safe write of `bytes` as the store file for `key_hex`:
-  /// temp + fsync + atomic rename + directory fsync. Returns false (and
-  /// counts a write error) on any failure, leaving no partial final
-  /// file behind. FaultPoint::disk_store_write polls here.
+  /// temp + fsync + atomic rename + directory fsync. Returns false on
+  /// any failure, leaving no partial final file behind.
+  /// FaultPoint::disk_store_write polls here.
   bool save(const std::string& key_hex, const std::string& bytes);
 
   /// Reads a whole store file. Returns false on any I/O failure — the
@@ -67,40 +66,11 @@ class DiskStore {
   /// Removes one file (used for corrupt/stale store files). Best-effort.
   void remove_file(const std::string& path);
 
-  // One counter bump per outcome, mirrored into CacheStats and the
-  // sitime_disk_store_* metric families. save() counts writes and write
-  // errors itself; the load-side outcomes are decided by the caller
-  // (the store cannot tell a version skip from a checksum corruption).
-  void note_load() { loads_.fetch_add(1, std::memory_order_relaxed); }
-  void note_skip() { load_skips_.fetch_add(1, std::memory_order_relaxed); }
-  void note_corrupt() {
-    load_corrupt_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  long long writes() const {
-    return writes_.load(std::memory_order_relaxed);
-  }
-  long long write_errors() const {
-    return write_errors_.load(std::memory_order_relaxed);
-  }
-  long long loads() const { return loads_.load(std::memory_order_relaxed); }
-  long long load_skips() const {
-    return load_skips_.load(std::memory_order_relaxed);
-  }
-  long long load_corrupt() const {
-    return load_corrupt_.load(std::memory_order_relaxed);
-  }
-
  private:
   int sweep_temp_files();
 
   std::string dir_;
   std::string init_error_;
-  std::atomic<long long> writes_{0};
-  std::atomic<long long> write_errors_{0};
-  std::atomic<long long> loads_{0};
-  std::atomic<long long> load_skips_{0};
-  std::atomic<long long> load_corrupt_{0};
 };
 
 }  // namespace sitime::svc

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/fault.hpp"
@@ -229,7 +230,6 @@ TEST(DiskStore, SaveIsAtomicAndSurvivesReload) {
   svc::DiskStore store(dir.path);
   ASSERT_TRUE(store.ok()) << store.init_error();
   ASSERT_TRUE(store.save("abcd1234abcd1234", "payload bytes"));
-  EXPECT_EQ(store.writes(), 1);
   const std::vector<std::string> files = store.list_files();
   ASSERT_EQ(files.size(), 1u);
   EXPECT_EQ(files[0], store.path_for("abcd1234abcd1234"));
@@ -479,6 +479,134 @@ TEST(DiskWarmCache, CrashMidWriteLeavesTheStoreServable) {
       warm.analyze(bench_request("imec-ram-read-sbuf"));
   ASSERT_TRUE(response.ok);
   EXPECT_EQ(response.cache_state, "hit");
+}
+
+// ---- counters --------------------------------------------------------------
+
+/// The value of the sample `series` (name plus any `{labels}`) in a
+/// Prometheus exposition, or -1 when absent.
+double sample(const std::string& text, const std::string& series) {
+  const auto at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1;
+  return std::stod(text.substr(at + series.size() + 2));
+}
+
+/// Every CacheStats counter with a registry series equals its sample in
+/// the service's Prometheus exposition.
+void expect_stats_match_metrics(svc::AnalysisService& service) {
+  const svc::CacheStats stats = service.stats();
+  const std::string text = service.metrics().render_prometheus();
+  const std::string requests = "sitime_design_cache_requests_total";
+  const std::string runs = "sitime_phase_runs_total";
+  const std::vector<std::pair<std::string, double>> pairs = {
+      {requests + "{outcome=\"hit\"}", stats.hits},
+      {requests + "{outcome=\"miss\"}", stats.misses},
+      {requests + "{outcome=\"upgrade\"}", stats.upgrades},
+      {requests + "{outcome=\"coalesced\"}", stats.coalesced},
+      {"sitime_design_cache_evictions_total", stats.evictions},
+      {"sitime_design_cache_entries", stats.entries},
+      {"sitime_design_cache_bytes", static_cast<double>(stats.bytes)},
+      {"sitime_request_failures_total", stats.failures},
+      {"sitime_deadline_exceeded_total", stats.deadline_exceeded},
+      {"sitime_cancelled_subtasks_total", stats.cancelled_subtasks},
+      {runs + "{phase=\"decompose\"}", stats.decompose_runs},
+      {runs + "{phase=\"verify\"}", stats.verify_runs},
+      {runs + "{phase=\"derive\"}", stats.derive_runs},
+      {"sitime_cache_budget_bytes", static_cast<double>(stats.budget_bytes)},
+      {"sitime_sg_cache_entries", stats.sg_cache_entries},
+      {"sitime_sg_cache_hits_total", stats.sg_cache_hits},
+      {"sitime_sg_cache_misses_total", stats.sg_cache_misses},
+      {"sitime_decomp_cache_hits_total", stats.decomp_hits},
+      {"sitime_decomp_cache_misses_total", stats.decomp_misses},
+      {"sitime_decomp_cache_entries", stats.decomp_entries},
+      {"sitime_disk_store_writes_total", stats.disk_writes},
+      {"sitime_disk_store_write_errors_total", stats.disk_write_errors},
+      {"sitime_disk_store_loads_total", stats.disk_loads},
+      {"sitime_disk_store_load_skips_total", stats.disk_load_skips},
+      {"sitime_disk_store_load_corrupt_total", stats.disk_load_corrupt},
+  };
+  for (const auto& [series, value] : pairs)
+    EXPECT_EQ(sample(text, series), value) << series;
+}
+
+TEST(DiskWarmCache, EveryCacheStatCounterEqualsItsMetricSample) {
+  TempDir dir;
+  svc::ServiceOptions options = store_options(dir.path);
+  options.cache_budget_bytes = 64u << 10;  // holds a few bundled designs
+  const int suite = static_cast<int>(benchdata::all_benchmarks().size());
+  {
+    svc::AnalysisService cold(options);
+    // A verify miss, its derive upgrade and a hit, the suite, and a bad
+    // request.
+    const std::string name = benchdata::all_benchmarks().back().name;
+    ASSERT_TRUE(
+        cold.analyze(bench_request(name, svc::RequestMode::verify)).ok);
+    ASSERT_TRUE(cold.analyze(bench_request(name)).ok);
+    ASSERT_TRUE(cold.analyze(bench_request(name)).ok);
+    ASSERT_EQ(cold.warm_benchmark_suite(), suite);
+    svc::AnalysisRequest bad;
+    bad.astg = "not an stg";
+    EXPECT_FALSE(cold.analyze(bad).ok);
+    const svc::CacheStats stats = cold.stats();
+    EXPECT_GT(stats.evictions, 0);
+    EXPECT_EQ(stats.upgrades, 1);
+    EXPECT_GT(stats.hits, 0);
+    EXPECT_EQ(stats.failures, 1);
+    // An evicted design that runs again spills again.
+    EXPECT_GE(stats.disk_writes, suite);
+    expect_stats_match_metrics(cold);
+  }
+
+  // Restart over the store with two files corrupted (a bit flip, a
+  // truncation) and one from a stale format version, so every load
+  // outcome moves, each to a different count.
+  const std::vector<std::string> files = svc::DiskStore(dir.path).list_files();
+  ASSERT_EQ(static_cast<int>(files.size()), suite);
+  std::string flipped = read_bytes(files[0]);
+  flipped[flipped.size() / 2] =
+      static_cast<char>(flipped[flipped.size() / 2] ^ 0x01);
+  write_bytes(files[0], flipped);
+  const std::string truncated = read_bytes(files[1]);
+  write_bytes(files[1], truncated.substr(0, truncated.size() / 2));
+  std::string stale = read_bytes(files[2]);
+  stale[4] = static_cast<char>(stale[4] + 1);
+  write_bytes(files[2], stale);
+
+  svc::AnalysisService warm(options);
+  EXPECT_EQ(warm.warm_from_disk(), suite - 3);
+  ASSERT_EQ(warm.warm_benchmark_suite(), suite);
+  ASSERT_TRUE(warm
+                  .analyze(bench_request(benchdata::all_benchmarks()[2].name,
+                                         svc::RequestMode::verify))
+                  .ok);
+  const svc::CacheStats stats = warm.stats();
+  EXPECT_EQ(stats.disk_loads, suite - 3);
+  EXPECT_EQ(stats.disk_load_corrupt, 2);
+  EXPECT_EQ(stats.disk_load_skips, 1);
+  EXPECT_GT(stats.evictions, 0);
+  expect_stats_match_metrics(warm);
+}
+
+TEST(DiskWarmCache, ConcurrentSpillsCountEveryWrite) {
+  TempDir dir;
+  svc::AnalysisService service(store_options(dir.path));
+  const auto& benches = benchdata::all_benchmarks();
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t b = t; b < benches.size(); b += kThreads) {
+        const svc::AnalysisResponse response =
+            service.analyze(bench_request(benches[b].name));
+        EXPECT_TRUE(response.ok) << benches[b].name << ": " << response.error;
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.disk_writes, static_cast<long long>(benches.size()));
+  EXPECT_EQ(stats.disk_write_errors, 0);
+  EXPECT_EQ(svc::DiskStore(dir.path).list_files().size(), benches.size());
 }
 
 // ---- fault injection -------------------------------------------------------

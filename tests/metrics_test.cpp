@@ -1,5 +1,5 @@
-// base/metrics: sharded counters/gauges/histograms and the Prometheus
-// registry. The contract under test: the record side is exact under
+// base/metrics: sharded counters and histograms, callback series and the
+// Prometheus registry. The contract under test: the record side is exact under
 // concurrency (a quiesced merged snapshot equals the sum of everything
 // recorded — the TSan lane runs this too), bucket boundaries follow the
 // `le` inclusive-upper-bound semantics, and render_prometheus() emits
@@ -39,14 +39,6 @@ TEST(MetricCounter, ConcurrentIncrementsAreExactAfterJoin) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(counter.value(),
             static_cast<long long>(kThreads) * kIncrements);
-}
-
-TEST(MetricGauge, SetAndAdd) {
-  base::MetricGauge gauge;
-  gauge.set(7);
-  EXPECT_EQ(gauge.value(), 7);
-  gauge.add(-3);
-  EXPECT_EQ(gauge.value(), 4);
 }
 
 TEST(MetricHistogram, BucketBoundariesAreInclusiveUpperBounds) {
@@ -112,14 +104,16 @@ TEST(MetricsRegistry, RegistrationIsIdempotentPerNameAndLabels) {
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &c);
   // Same family name with a different kind is a registration bug.
-  EXPECT_THROW(registry.gauge("sitime_test_total", "help"), sitime::Error);
+  EXPECT_THROW(registry.histogram("sitime_test_total", "help", {1.0}),
+               sitime::Error);
 }
 
 TEST(MetricsRegistry, RendersPrometheusTextExposition) {
   base::MetricsRegistry registry;
   registry.counter("sitime_reqs_total", "Requests.", "kind=\"a\"").inc(3);
   registry.counter("sitime_reqs_total", "Requests.", "kind=\"b\"").inc(1);
-  registry.gauge("sitime_depth", "Queue depth.").set(2);
+  registry.callback(&registry, "sitime_depth", "Queue depth.", "gauge", "",
+                    [] { return 2.0; });
   base::MetricHistogram& histogram = registry.histogram(
       "sitime_lat_seconds", "Latency.", {0.5, 1.0});
   histogram.observe(0.25);

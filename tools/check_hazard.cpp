@@ -277,8 +277,11 @@ int main(int argc, char** argv) {
       options.jobs == 1 ? nullptr : &base::ThreadPool::shared();
 
   // One resident service per invocation: verify + derive share a
-  // decomposition per design, and repeated designs (the same file listed
-  // twice, a file matching an embedded benchmark) coalesce on its cache.
+  // decomposition per design, and a repeated design (the same file listed
+  // twice, a file matching an embedded benchmark) is a cache hit once its
+  // first run has finished. At --jobs > 1 the designs are pool tasks, and
+  // the service never parks a pool task on another request's run, so
+  // copies that are in flight together each run the flow themselves.
   svc::ServiceOptions service_options;
   service_options.jobs = options.jobs;
   service_options.pool = pool;
