@@ -64,7 +64,7 @@ class ThreadPool {
   /// task or one picked up through try_run_one / a help-while-wait loop,
   /// for any pool). Long blocking waits are unsafe in that context: the
   /// frames beneath the task may be the very work the wait depends on —
-  /// see svc::AnalysisService's single-flight bypass.
+  /// which is why svc::AnalysisService::analyze() refuses such callers.
   static bool in_task();
 
   /// Utilization counters for the observability layer (all relaxed

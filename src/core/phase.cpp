@@ -98,14 +98,4 @@ void run_derive_phase(PhaseArtifacts& artifacts,
   artifacts.completed = Phase::derived;
 }
 
-void advance_to_phase(PhaseArtifacts& artifacts, Phase target,
-                      const FlowOptions& options) {
-  if (artifacts.completed < Phase::decomposed && target >= Phase::decomposed)
-    run_decompose_phase(artifacts, options.cancel);
-  if (artifacts.completed < Phase::verified && target >= Phase::verified)
-    run_verify_phase(artifacts, options);
-  if (artifacts.completed < Phase::derived && target >= Phase::derived)
-    run_derive_phase(artifacts, options);
-}
-
 }  // namespace sitime::core

@@ -96,8 +96,4 @@ void run_verify_phase(PhaseArtifacts& artifacts,
 /// recorded decompose_seconds so reports read like a monolithic run.
 void run_derive_phase(PhaseArtifacts& artifacts, const FlowOptions& options);
 
-/// Runs every phase the artifact is missing, up to and including `target`.
-void advance_to_phase(PhaseArtifacts& artifacts, Phase target,
-                      const FlowOptions& options);
-
 }  // namespace sitime::core

@@ -117,9 +117,8 @@ AnalysisService::Parsed AnalysisService::parse_request(
 ///     even while the same run continues into derive.
 ///   - A request that finds a runner active waits on `cv` for the phases
 ///     it shares with the run and claims whatever the run leaves missing
-///     afterwards — or, from pool-task context, where blocking could
-///     deadlock on its own help-while-wait stack, bypasses the entry and
-///     runs privately.
+///     afterwards. analyze() refuses callers inside a pool task up front,
+///     so no waiter can block on a run beneath its own stack.
 ///   - A failed run parks the entry at its last completed phase
 ///     (target = completed), records `run_error` for the current waiters,
 ///     and keeps the phases that did succeed; failures are never cached.
@@ -284,8 +283,7 @@ void AnalysisService::register_metrics() {
       "Requests answered with error_code deadline_exceeded.");
   const char* kPhaseRuns = "sitime_phase_runs_total";
   const char* kPhaseRunsHelp =
-      "Phase executions, single-flight bypass runs included (derive "
-      "counts runs that produced constraints).";
+      "Phase executions (derive counts runs that produced constraints).";
   decompose_runs_ =
       &metrics_.counter(kPhaseRuns, kPhaseRunsHelp, "phase=\"decompose\"");
   verify_runs_ =
@@ -412,24 +410,6 @@ AnalysisService::ReportForms AnalysisService::report_forms(
       std::make_shared<const std::string>(core::to_canonical_json(report));
   forms.report = std::make_shared<const core::FlowReport>(std::move(report));
   return forms;
-}
-
-AnalysisService::ReportForms AnalysisService::finish_derive(
-    const core::PhaseArtifacts& artifacts, const std::string& key_hex,
-    RunStats& run) {
-  run.derive_ran = true;
-  run.derive_seconds = artifacts.derive_seconds;
-  if (!artifacts.has_result) return {};
-  ++run.derives;
-  const core::FlowResult& result = artifacts.result;
-  run.expand_seconds = result.expand_seconds;
-  run.expand_steps = result.expand_steps;
-  run.expand_subtasks = result.expand_subtasks;
-  run.expand_jobs = result.jobs;
-  core::FlowReport report =
-      core::make_flow_report(/*design=*/"", result, artifacts.stg->signals);
-  report.content_hash = key_hex;
-  return report_forms(std::move(report));
 }
 
 std::shared_ptr<const std::string> AnalysisService::decompose_shared(
@@ -573,10 +553,24 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
           ++run.verifies;
           run.verify_seconds = entry->artifacts.verify_seconds;
           break;
-        case core::Phase::derived:
-          core::run_derive_phase(entry->artifacts, options);
-          forms = finish_derive(entry->artifacts, entry->key_hex, run);
+        case core::Phase::derived: {
+          core::PhaseArtifacts& artifacts = entry->artifacts;
+          core::run_derive_phase(artifacts, options);
+          run.derive_ran = true;
+          run.derive_seconds = artifacts.derive_seconds;
+          if (!artifacts.has_result) break;  // not SI: nothing to render
+          ++run.derives;
+          const core::FlowResult& result = artifacts.result;
+          run.expand_seconds = result.expand_seconds;
+          run.expand_steps = result.expand_steps;
+          run.expand_subtasks = result.expand_subtasks;
+          run.expand_jobs = result.jobs;
+          core::FlowReport report = core::make_flow_report(
+              /*design=*/"", result, artifacts.stg->signals);
+          report.content_hash = entry->key_hex;
+          forms = report_forms(std::move(report));
           break;
+        }
         case core::Phase::parsed:
           break;  // unreachable: parsed is never a *next* phase
       }
@@ -775,9 +769,9 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   AnalysisResponse response;
 
   // Fills an error response, keeping the deadline_exceeded counter in
-  // step with every response that carries that code (runner, waiter or
-  // bypass alike). failures_ is counted per-site: the runner path counts
-  // it in finish_run, the others here.
+  // step with every response that carries that code (runner or waiter
+  // alike). failures_ is counted per-site: the runner path counts it in
+  // finish_run, the others here.
   auto fail_with = [&](const std::string& message, const std::string& code,
                        bool count_failure) {
     if (count_failure) failures_->inc();
@@ -787,6 +781,16 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     response.error_code = code;
     response.seconds = seconds_since(start);
   };
+
+  // A request may have to wait on another request's run of the same
+  // design. Inside a pool task that run may be frames beneath this very
+  // stack (work stealing + help-while-wait), and the wait would never end.
+  if (base::ThreadPool::in_task()) {
+    fail_with("analyze() must not be called from inside a thread-pool "
+              "task; call it from a plain thread",
+              "analysis_error", /*count_failure=*/true);
+    return response;
+  }
 
   // A request whose budget is already gone skips even the parse: the
   // deadline answer is known and parsing large designs is not free.
@@ -843,7 +847,7 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     }
   }
 
-  // The per-(entry, phase) machine: serve, wait, run, or bypass.
+  // The per-(entry, phase) machine: serve, wait, or run.
   bool waited = false;
   double wait_begin = 0.0;  // offset of the first coalesced wait
   std::unique_lock<std::mutex> elock(entry->mutex);
@@ -876,10 +880,6 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     }
 
     if (entry->target > entry->completed) {  // a runner is active
-      // Pool-task duplicates must never block on the run: it may be frames
-      // beneath this very stack (work stealing + help-while-wait). They
-      // run privately below; the runner keeps the cache slot.
-      if (base::ThreadPool::in_task()) break;
       // Wait for the active run to end (waking at every phase publish in
       // case it already covers us); whatever it leaves missing we claim
       // ourselves on a later iteration. Deliberately NOT extending the
@@ -965,62 +965,6 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     response.seconds = seconds_since(start);
     return response;
   }
-
-  // Single-flight bypass: a pool-task duplicate runs the phases privately
-  // on its own parsed design and publishes nothing.
-  elock.unlock();
-  core::PhaseArtifacts artifacts;
-  bool ok = true;
-  std::string error;
-  std::string error_code;
-  const double run_begin = seconds_since(start);
-  try {
-    if (parsed.stg == nullptr) {
-      // We created the entry and donated our parse to it before another
-      // pool task claimed the run; parse again for the private copy.
-      parsed = parse_request(request, options_.expand);
-    }
-    artifacts.stg = std::move(parsed.stg);
-    artifacts.circuit = std::move(parsed.circuit);
-    core::advance_to_phase(artifacts, needed,
-                           flow_options(request.jobs, request.cancel));
-  } catch (const std::exception& exception) {
-    ok = false;
-    error = exception.what();
-    error_code = error_code_of(exception);
-  }
-  if (artifacts.circuit != nullptr)
-    response.netlist_eqn =
-        std::make_shared<const std::string>(artifacts.circuit->to_eqn());
-  RunStats run;
-  run.decomposes = artifacts.completed >= core::Phase::decomposed ? 1 : 0;
-  run.verifies = artifacts.completed >= core::Phase::verified ? 1 : 0;
-  run.decompose_seconds = artifacts.decompose_seconds;
-  run.verify_seconds = artifacts.verify_seconds;
-  ReportForms forms;
-  if (artifacts.completed >= core::Phase::derived)
-    forms = finish_derive(artifacts, response.key, run);
-  decompose_runs_->inc(run.decomposes);
-  verify_runs_->inc(run.verifies);
-  derive_runs_->inc(run.derives);
-  if (ok) misses_->inc();  // a real flow run, never a wait
-  record_run_metrics(run, /*cold=*/true);
-  if (request.trace_spans)
-    append_run_spans(run, /*cold=*/true, run_begin, response.spans);
-  if (!ok) {
-    fail_with(error, error_code, /*count_failure=*/true);
-    return response;
-  }
-  response.ok = true;
-  response.cache_state = "fresh";
-  response.phases_run =
-      core::phase_range_text(core::Phase::parsed, artifacts.completed);
-  response.verify_offender = artifacts.verify_offender;
-  response.speed_independent = artifacts.verify_offender.empty();
-  response.report = std::move(forms.report);
-  response.canonical_json = std::move(forms.canonical_json);
-  response.seconds = seconds_since(start);
-  return response;
 }
 
 int AnalysisService::warm_benchmark_suite(const std::atomic<bool>* stop) {

@@ -128,7 +128,8 @@ struct AnalysisResponse {
   /// "invalid_request" (the design text failed to parse),
   /// "deadline_exceeded" (the request's deadline budget fired),
   /// "cancelled" (explicit cancel flag), "analysis_error" (the flow threw
-  /// for any other reason, injected faults included).
+  /// for any other reason, injected faults included, or the call came from
+  /// inside a pool task).
   std::string error_code;
   std::string key;            // content-address (hex) of the design
   /// How this response was produced: "fresh" (this request ran every phase
@@ -183,9 +184,8 @@ struct CacheStats {
   /// OR-causality subSTG subtasks that observed a cancel and unwound
   /// early (freed pool workers), summed over all requests.
   long long cancelled_subtasks = 0;
-  // Phase executions (single-flight bypass runs included). A verify
-  // followed by a derive on one design shows decompose_runs == 1: the
-  // acceptance probe of the lazy-upgrade design.
+  // Phase executions. A verify followed by a derive on one design shows
+  // decompose_runs == 1: the acceptance probe of the lazy-upgrade design.
   long long decompose_runs = 0;
   long long verify_runs = 0;
   long long derive_runs = 0;
@@ -261,13 +261,13 @@ class AnalysisService {
   /// Answers one request, from cache when possible, running only the
   /// phases the resident entry is missing. Thread-safe: any number of
   /// callers may be in analyze() concurrently; identical designs coalesce
-  /// onto one phase run per (entry, phase) — except callers already inside
-  /// a pool task (base::ThreadPool::in_task()), which run the flow
-  /// themselves instead of blocking: a stolen duplicate on the owner's own
-  /// help-while-wait stack would otherwise deadlock. Dedicated request
-  /// threads (sitime_serve) get full coalescing. Never throws — failures
-  /// come back as !ok responses (and are not cached; an entry keeps the
-  /// phases that did succeed).
+  /// onto one phase run per (entry, phase). Callers must be plain threads:
+  /// a call from inside a pool task (base::ThreadPool::in_task()) is
+  /// refused with error_code "analysis_error", because waiting on a
+  /// duplicate's run there could deadlock on the caller's own
+  /// help-while-wait stack. Never throws — failures come back as !ok
+  /// responses (and are not cached; an entry keeps the phases that did
+  /// succeed).
   AnalysisResponse analyze(const AnalysisRequest& request);
 
   /// Runs every bundled benchmark through the cache (mode derive), so a
@@ -316,9 +316,9 @@ class AnalysisService {
   struct Parsed;
   struct SharedDecomposition;
 
-  /// What one single-flight run (or bypass run) actually executed, for
-  /// counters, histograms and trace spans. Captured by the runner while
-  /// it is still the sole toucher of the artifacts.
+  /// What one single-flight run actually executed, for counters,
+  /// histograms and trace spans. Captured by the runner while it is still
+  /// the sole toucher of the artifacts.
   struct RunStats {
     int decomposes = 0;
     /// The decompose phase was satisfied by a shared decomposition: the
@@ -350,13 +350,6 @@ class AnalysisService {
   /// Shares `report` together with its canonical JSON — the one way the
   /// derive phase and the store load both make the wire form.
   static ReportForms report_forms(core::FlowReport report);
-  /// Records the derive phase `artifacts` just ran in `run` and, when it
-  /// produced constraints, builds the report served under `key_hex`
-  /// (null forms otherwise). Shared by the single-flight runner and the
-  /// bypass, so both count and render a derive identically.
-  static ReportForms finish_derive(const core::PhaseArtifacts& artifacts,
-                                   const std::string& key_hex,
-                                   RunStats& run);
   core::FlowOptions flow_options(int request_jobs,
                                  const core::CancelToken& cancel);
   /// Advances `entry` to its claimed target phase as the single-flight

@@ -1,7 +1,7 @@
 // The staged phase-artifact model (core/phase): each phase is a pure
-// function of the previous artifact, advance_to_phase runs exactly the
-// missing phases, and the staged products agree with the monolithic flow
-// entry points they refactor.
+// function of the previous artifact, a partly advanced artifact runs only
+// the phases it is missing, and the staged products agree with the
+// monolithic flow entry points they refactor.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -56,27 +56,21 @@ TEST(PhaseArtifacts, PhasesAdvanceOneAtATimeAndMatchTheMonolithicFlow) {
 
 TEST(PhaseArtifacts, AdvanceRunsOnlyTheMissingPhases) {
   core::PhaseArtifacts artifacts = parsed_artifacts("adfast");
-  core::advance_to_phase(artifacts, core::Phase::verified,
-                         core::FlowOptions{});
+  core::run_decompose_phase(artifacts);
+  core::run_verify_phase(artifacts);
   EXPECT_EQ(artifacts.completed, core::Phase::verified);
   EXPECT_FALSE(artifacts.has_result);
   const double decompose_seconds = artifacts.decompose_seconds;
 
   // The upgrade runs derive alone: the decomposition is untouched.
   const std::size_t job_count = artifacts.decomposition->jobs.size();
-  core::advance_to_phase(artifacts, core::Phase::derived,
-                         core::FlowOptions{});
+  core::run_derive_phase(artifacts, core::FlowOptions{});
   EXPECT_EQ(artifacts.completed, core::Phase::derived);
   EXPECT_TRUE(artifacts.has_result);
   EXPECT_EQ(artifacts.decomposition->jobs.size(), job_count);
   EXPECT_EQ(artifacts.decompose_seconds, decompose_seconds);
   // The result reads like a monolithic run: decompose time included.
   EXPECT_GE(artifacts.result.seconds, artifacts.result.decompose_seconds);
-
-  // Advancing a finished artifact is a no-op.
-  core::advance_to_phase(artifacts, core::Phase::derived,
-                         core::FlowOptions{});
-  EXPECT_EQ(artifacts.completed, core::Phase::derived);
 }
 
 TEST(PhaseArtifacts, DecomposeSynthesizesWhenNoNetlistWasGiven) {

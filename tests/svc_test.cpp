@@ -171,60 +171,64 @@ TEST(AnalysisService, ZeroBudgetDisablesRetentionButStillAnswers) {
 
 TEST(AnalysisService, SingleFlightCoalescesConcurrentIdenticalRequests) {
   // N threads fire the same design at one service: exactly one flow run;
-  // everyone shares its entry byte-for-byte.
+  // everyone shares its entry byte-for-byte. At jobs=2 the runner's flow
+  // runs on the shared pool and helps its own pool tasks while the plain
+  // threads coalescing on it wait — the shape of a check_hazard batch.
   constexpr int kThreads = 8;
-  svc::AnalysisService service;
-  std::vector<svc::AnalysisResponse> responses(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&service, &responses, t] {
-      responses[t] = service.analyze(bench_request("imec-ram-read-sbuf"));
-    });
-  for (std::thread& thread : threads) thread.join();
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    svc::ServiceOptions options;
+    options.jobs = jobs;
+    svc::AnalysisService service(options);
+    std::vector<svc::AnalysisResponse> responses(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&service, &responses, t] {
+        responses[t] = service.analyze(bench_request("imec-ram-read-sbuf"));
+      });
+    for (std::thread& thread : threads) thread.join();
 
-  int fresh = 0;
-  for (const svc::AnalysisResponse& response : responses) {
-    ASSERT_TRUE(response.ok) << response.error;
-    EXPECT_EQ(response.key, responses[0].key);
-    ASSERT_NE(response.canonical_json, nullptr);
-    EXPECT_EQ(*response.canonical_json, *responses[0].canonical_json);
-    if (response.cache_state == "fresh") ++fresh;
+    int fresh = 0;
+    for (const svc::AnalysisResponse& response : responses) {
+      ASSERT_TRUE(response.ok) << response.error;
+      EXPECT_EQ(response.key, responses[0].key);
+      ASSERT_NE(response.canonical_json, nullptr);
+      EXPECT_EQ(*response.canonical_json, *responses[0].canonical_json);
+      if (response.cache_state == "fresh") ++fresh;
+    }
+    EXPECT_EQ(fresh, 1);
+    const svc::CacheStats stats = service.stats();
+    EXPECT_EQ(stats.misses, 1);  // no duplicate flow runs
+    EXPECT_EQ(stats.hits + stats.coalesced, kThreads - 1);
+    EXPECT_EQ(stats.entries, 1);
   }
-  EXPECT_EQ(fresh, 1);
-  const svc::CacheStats stats = service.stats();
-  EXPECT_EQ(stats.misses, 1);  // no duplicate flow runs
-  EXPECT_EQ(stats.hits + stats.coalesced, kThreads - 1);
-  EXPECT_EQ(stats.entries, 1);
 }
 
-TEST(AnalysisService, PoolTaskDuplicatesBypassTheFlightInsteadOfBlocking) {
-  // Regression: identical requests issued FROM pool tasks used to block on
-  // the in-flight run — and a duplicate stolen onto the owner's own
-  // help-while-wait stack waited on frames beneath itself, deadlocking the
-  // batch driver ('check_hazard --jobs 2 a.g a.g'). In pool-task context
-  // duplicates must run the flow independently (never block); this test
-  // simply has to terminate, and every response must agree byte-for-byte.
+TEST(AnalysisService, PoolTaskCallersAreRefusedBeforeTouchingTheCache) {
+  // A request issued from inside a pool task could wait on a duplicate's
+  // run stolen onto its own help-while-wait stack and never wake. The
+  // service refuses such callers up front: every response is an
+  // analysis_error, counted as a failure, and no entry or run exists.
   constexpr int kRequests = 8;
-  svc::ServiceOptions options;
-  options.jobs = 2;  // nested parallelism: requests and expand jobs race
-  svc::AnalysisService service(options);
+  svc::AnalysisService service;
   base::ThreadPool pool(2);
   std::vector<svc::AnalysisResponse> responses(kRequests);
-  pool.parallel_for(0, kRequests, [&](int i) {
-    responses[i] = service.analyze(bench_request("imec-ram-read-sbuf"));
-  });
+  base::TaskGroup group(pool);
+  for (int i = 0; i < kRequests; ++i)
+    group.run([&service, &responses, i] {
+      responses[i] = service.analyze(bench_request("imec-ram-read-sbuf"));
+    });
+  group.wait();
   for (const svc::AnalysisResponse& response : responses) {
-    ASSERT_TRUE(response.ok) << response.error;
-    ASSERT_NE(response.canonical_json, nullptr);
-    EXPECT_EQ(*response.canonical_json, *responses[0].canonical_json);
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error_code, "analysis_error");
+    EXPECT_EQ(response.report, nullptr);
   }
   const svc::CacheStats stats = service.stats();
-  // Bypass runs count as misses; coalescing never happens inside pool
-  // tasks, and whatever interleaving occurred, the books must balance.
-  EXPECT_GE(stats.misses, 1);
-  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced + stats.upgrades,
-            kRequests);
-  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.failures, kRequests);
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.entries, 0);
+  EXPECT_EQ(stats.decompose_runs, 0);
 }
 
 TEST(AnalysisService, VerifyThenDeriveLazilyUpgradesOneEntry) {

@@ -1,14 +1,15 @@
 // check_hazard — the thesis tool's command-line interface (Section 7.3.1),
-// grown into a batch driver: one process pipelines any number of designs
-// through the parallel flow on one shared thread pool.
+// grown into a batch driver: one process runs any number of designs
+// through one analysis service, several at a time.
 //
 // Usage:
 //   check_hazard STG.g [EQN.eqn]                      # legacy single design
 //   check_hazard [options] DESIGN.g [DESIGN2.g ...]   # batch
 //
 // Options:
-//   --jobs N, -j N   parallel (component × gate) jobs and concurrent
-//                    designs; 0 = one per hardware thread, default 1
+//   --jobs N, -j N   total parallelism, split between concurrent designs
+//                    and each design's (component × gate) jobs; 0 = one
+//                    per hardware thread, default 1
 //   --json           structured JSON report (an array in batch mode)
 //   --eqn FILE       restricted-EQN netlist (single design only); without
 //                    it a DESIGN.eqn sibling is used when present, else the
@@ -24,6 +25,7 @@
 //   The timing constraints in the original specification are: ...
 //   The timing constraints for this circuit to work correctly are: ...
 //   The running time for this program is ... seconds
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -33,10 +35,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/error.hpp"
-#include "base/thread_pool.hpp"
 #include "benchdata/benchmarks.hpp"
 #include "core/report.hpp"
 #include "svc/analysis_service.hpp"
@@ -273,35 +275,41 @@ int main(int argc, char** argv) {
 
   const bool legacy = designs.size() == 1 && !options.json &&
                       options.bench_names.empty();
-  base::ThreadPool* pool =
-      options.jobs == 1 ? nullptr : &base::ThreadPool::shared();
+  // --jobs bounds the total: `threads` designs run at once, and each
+  // design's flow gets an equal share of the width for its jobs.
+  const int width =
+      options.jobs > 0
+          ? options.jobs
+          : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const int threads = std::min(width, static_cast<int>(designs.size()));
 
   // One resident service per invocation: verify + derive share a
   // decomposition per design, and a repeated design (the same file listed
-  // twice, a file matching an embedded benchmark) is a cache hit once its
-  // first run has finished. At --jobs > 1 the designs are pool tasks, and
-  // the service never parks a pool task on another request's run, so
-  // copies that are in flight together each run the flow themselves.
+  // twice, a file matching an embedded benchmark) runs the flow once —
+  // copies in flight together coalesce on its run, later ones are hits.
   svc::ServiceOptions service_options;
-  service_options.jobs = options.jobs;
-  service_options.pool = pool;
+  service_options.jobs = width / threads;  // >= 1: threads <= width
   svc::AnalysisService service(service_options);
 
-  // The designs pipeline through the same pool the per-design job graphs
-  // run on; results are collected per slot and printed in input order.
+  // Plain threads (this one included) pull design indices in input order;
+  // results are collected per slot and printed in input order.
   std::vector<DesignOutcome> outcomes(designs.size());
-  auto run_design = [&](int index) {
-    outcomes[index] =
-        process_design(designs[index], options, service, legacy);
+  std::atomic<std::size_t> next{0};
+  auto run_designs = [&] {
+    while (true) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= designs.size()) return;
+      try {
+        outcomes[i] = process_design(designs[i], options, service, legacy);
+      } catch (const std::exception& error) {  // never out of a thread
+        outcomes[i].error = error.what();
+      }
+    }
   };
-  if (pool == nullptr || designs.size() == 1) {
-    for (int i = 0; i < static_cast<int>(designs.size()); ++i)
-      run_design(i);
-  } else {
-    pool->parallel_for(0, static_cast<int>(designs.size()), run_design,
-                       /*grain=*/1,
-                       /*max_tasks=*/options.jobs);
-  }
+  std::vector<std::thread> helpers;
+  for (int t = 1; t < threads; ++t) helpers.emplace_back(run_designs);
+  run_designs();
+  for (std::thread& helper : helpers) helper.join();
 
   bool all_ok = true;
   if (options.json) {
