@@ -45,8 +45,7 @@ int effective_jobs(int jobs) {
   return jobs < 1 ? 1 : jobs;
 }
 
-}  // namespace
-
+/// The stable component-major (component × gate) job order.
 std::vector<FlowJob> enumerate_flow_jobs(int components, int gates) {
   std::vector<FlowJob> jobs;
   jobs.reserve(static_cast<std::size_t>(components) * gates);
@@ -56,12 +55,20 @@ std::vector<FlowJob> enumerate_flow_jobs(int components, int gates) {
   return jobs;
 }
 
+}  // namespace
+
 FlowDecomposition decompose_flow(const stg::Stg& impl,
                                  const circuit::Circuit& circuit,
                                  const CancelToken& cancel) {
+  return decompose_flow(
+      impl, circuit,
+      sg::build_global_sg(impl, /*state_limit=*/1 << 20, cancel));
+}
+
+FlowDecomposition decompose_flow(const stg::Stg& impl,
+                                 const circuit::Circuit& circuit,
+                                 const sg::GlobalSg& global) {
   FlowDecomposition decomposition;
-  const sg::GlobalSg global =
-      sg::build_global_sg(impl, /*state_limit=*/1 << 20, cancel);
   decomposition.state_count = global.state_count();
   decomposition.initial_values = sg::initial_values(impl, global);
 

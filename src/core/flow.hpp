@@ -26,6 +26,7 @@
 #include "circuit/circuit.hpp"
 #include "core/expand.hpp"
 #include "core/local_stg.hpp"
+#include "sg/state_graph.hpp"
 #include "stg/stg.hpp"
 
 namespace sitime::core {
@@ -116,11 +117,6 @@ struct FlowDecomposition {
   std::shared_ptr<const stg::Stg> source;
 };
 
-/// The stable component-major job order of decompose_flow, reusable to
-/// re-target a shared decomposition at a circuit with a different gate
-/// count (the component_stgs and initial values depend only on the STG).
-std::vector<FlowJob> enumerate_flow_jobs(int components, int gates);
-
 /// Builds the global SG, checks consistency, and enumerates the MG
 /// components and (component × gate) jobs. Throws on malformed inputs
 /// (inconsistent STG, non-free-choice net) and base::CancelledError when
@@ -128,6 +124,12 @@ std::vector<FlowJob> enumerate_flow_jobs(int components, int gates);
 FlowDecomposition decompose_flow(const stg::Stg& impl,
                                  const circuit::Circuit& circuit,
                                  const CancelToken& cancel = {});
+
+/// Same, on the global SG of `impl` the caller already built (the
+/// decompose phase builds one that feeds both synthesis and this).
+FlowDecomposition decompose_flow(const stg::Stg& impl,
+                                 const circuit::Circuit& circuit,
+                                 const sg::GlobalSg& global);
 
 /// Calls visit(job, local_stg) for every job, handing each gate's local STG
 /// (Algorithm 1 projection) by value. Returning false from visit stops the

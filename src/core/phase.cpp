@@ -42,6 +42,13 @@ std::string phase_range_text(Phase from, Phase to) {
   return text;
 }
 
+std::shared_ptr<const circuit::Circuit> synthesize_circuit(
+    const stg::Stg& stg, const sg::GlobalSg& global) {
+  return std::make_shared<const circuit::Circuit>(
+      circuit::Circuit::from_synthesis(&stg.signals,
+                                       synth::synthesize(stg, global)));
+}
+
 void run_decompose_phase(PhaseArtifacts& artifacts,
                          const CancelToken& cancel) {
   check(artifacts.completed == Phase::parsed,
@@ -51,16 +58,14 @@ void run_decompose_phase(PhaseArtifacts& artifacts,
     base::injected_failure(base::FaultPoint::decompose);
   cancel.poll("decompose phase");
   const auto start = std::chrono::steady_clock::now();
-  if (artifacts.circuit == nullptr) {
-    const sg::GlobalSg global =
-        sg::build_global_sg(*artifacts.stg, /*state_limit=*/1 << 20, cancel);
-    artifacts.circuit = std::make_shared<const circuit::Circuit>(
-        circuit::Circuit::from_synthesis(
-            &artifacts.stg->signals,
-            synth::synthesize(*artifacts.stg, global)));
-  }
+  // One global SG feeds synthesis (when the netlist is absent) and the
+  // decomposition.
+  const sg::GlobalSg global =
+      sg::build_global_sg(*artifacts.stg, /*state_limit=*/1 << 20, cancel);
+  if (artifacts.circuit == nullptr)
+    artifacts.circuit = synthesize_circuit(*artifacts.stg, global);
   FlowDecomposition decomposition =
-      decompose_flow(*artifacts.stg, *artifacts.circuit, cancel);
+      decompose_flow(*artifacts.stg, *artifacts.circuit, global);
   // Pin the STG the decomposition's component projections point into, so
   // the decomposition stays valid beyond this artifact's lifetime.
   decomposition.source = artifacts.stg;

@@ -18,6 +18,7 @@
 
 #include "circuit/circuit.hpp"
 #include "core/flow.hpp"
+#include "sg/state_graph.hpp"
 #include "stg/stg.hpp"
 
 namespace sitime::core {
@@ -43,10 +44,12 @@ std::string phase_range_text(Phase from, Phase to);
 /// the parse-phase product (an owned STG, plus the explicit netlist when
 /// the design came with one); each run_*_phase() call below adds the next
 /// product and bumps `completed`. Circuit and decomposition point into
-/// `stg`; both are held through shared_ptr to const, so several artifacts
-/// of one STG can share one decomposition (which pins its STG via
-/// FlowDecomposition::source) and one synthesized circuit — the pointees
-/// are immutable once a phase completes.
+/// `stg`; both are held through shared_ptr to const, and the pointees are
+/// immutable once a phase completes. The decomposition depends on the STG
+/// alone, so several artifacts of one STG can share one (it pins its STG
+/// via FlowDecomposition::source) whatever their circuits: every circuit
+/// of an STG has one gate per non-input signal, so its job list fits them
+/// all.
 struct PhaseArtifacts {
   // parsed
   std::shared_ptr<const stg::Stg> stg;
@@ -72,11 +75,18 @@ struct PhaseArtifacts {
   }
 };
 
-/// parsed -> decomposed: synthesizes the netlist when the artifact has
-/// none (the synthesized circuit is a pure function of the STG) and builds
-/// the FlowDecomposition. Throws on malformed inputs; the artifact is
-/// unchanged on failure except that a successfully synthesized circuit is
-/// retained (callers report the netlist even when decomposition fails).
+/// The synthesized netlist of `stg` (one complex gate per non-input
+/// signal) from its global SG `global`. The circuit points into
+/// stg.signals. Throws on a CSC conflict.
+std::shared_ptr<const circuit::Circuit> synthesize_circuit(
+    const stg::Stg& stg, const sg::GlobalSg& global);
+
+/// parsed -> decomposed: builds the global SG once and feeds it to
+/// synthesis, when the artifact has no netlist (the synthesized circuit is
+/// a pure function of the STG), and to the FlowDecomposition. Throws on
+/// malformed inputs; the artifact is unchanged on failure except that a
+/// successfully synthesized circuit is retained (callers report the
+/// netlist even when decomposition fails).
 /// A cancelled phase (base::CancelledError) likewise leaves `completed`
 /// untouched, so a later run with a larger budget redoes only this phase.
 void run_decompose_phase(PhaseArtifacts& artifacts,

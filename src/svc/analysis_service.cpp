@@ -6,6 +6,7 @@
 #include "base/error.hpp"
 #include "benchdata/benchmarks.hpp"
 #include "core/artifact_codec.hpp"
+#include "sg/state_graph.hpp"
 #include "stg/astg.hpp"
 #include "svc/footprint.hpp"
 
@@ -49,6 +50,19 @@ std::string fnv1a_hex(const std::string& text) {
   out[16] = '\0';
   return out;
 }
+
+/// The deleter of a shared decomposition: holds the decomposition it
+/// shares and counts it live until the last entry or in-flight run holding
+/// it lets go, so stats() never walks the intern map.
+struct LiveCount {
+  std::atomic<int>* live;  // AnalysisService::live_decompositions_
+  std::shared_ptr<const core::FlowDecomposition> built;
+
+  void operator()(const core::FlowDecomposition*) {
+    built.reset();
+    live->fetch_sub(1, std::memory_order_relaxed);
+  }
+};
 
 }  // namespace
 
@@ -126,9 +140,8 @@ struct AnalysisService::Entry {
   std::string canonical;  // immutable; cache map key (owned for eviction)
   std::string key_hex;    // immutable
   std::string stg_canonical;  // immutable; shared-decomposition key
-  /// The request carried a netlist (vs. synthesizing from the STG) —
-  /// decides whether a decompose run shares its synthesis products with
-  /// the STG's later entries. Immutable.
+  /// The request carried a netlist (vs. synthesizing from the STG). Only
+  /// persisted (PersistedArtifact::explicit_netlist). Immutable.
   bool explicit_netlist = false;
 
   std::mutex mutex;
@@ -139,11 +152,6 @@ struct AnalysisService::Entry {
   std::string run_error_code;  // wire class of run_error ("cancelled", ...)
 
   core::PhaseArtifacts artifacts;
-  /// What the shared decomposition `artifacts.decomposition` points into
-  /// holds beyond the FlowDecomposition: its own allocation, and the
-  /// synthesis products it keeps that are not this entry's circuit. Set
-  /// with the decomposition; 0 for a private one.
-  std::size_t shared_bytes = 0;
   std::shared_ptr<const std::string> netlist_eqn;   // set at decomposed
   std::shared_ptr<const core::FlowReport> report;   // set at derived (SI)
   std::shared_ptr<const std::string> canonical_json;  // set with report
@@ -177,11 +185,12 @@ struct AnalysisService::Entry {
                         2 * sizeof(void*) + sizeof(std::size_t);
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
-    // The full decomposition, even when other entries share it. Entries
-    // loaded from the store hold none.
+    // The full decomposition, even when other entries share it, plus the
+    // control block and deleter that share it. Entries loaded from the
+    // store hold none.
     if (artifacts.decomposition != nullptr)
-      total += sizeof(core::FlowDecomposition) + kControlBlockBytes +
-               footprint(*artifacts.decomposition) + shared_bytes;
+      total += sizeof(core::FlowDecomposition) + 2 * kControlBlockBytes +
+               sizeof(LiveCount) + footprint(*artifacts.decomposition);
     total += heap_bytes(artifacts.verify_offender);
     if (artifacts.has_result)
       total += footprint(artifacts.result.before) +
@@ -193,43 +202,6 @@ struct AnalysisService::Entry {
     if (report != nullptr) total += footprint(*report);
     return total;
   }
-};
-
-/// One decomposition shared by the design entries of its STG. Entries hold
-/// it through aliasing pointers to `decomposition`, so it lives exactly as
-/// long as some entry or in-flight run holds it; the intern map only
-/// observes it. A value built from a design without an explicit netlist
-/// also keeps the synthesized circuit and its canonical netlist (pure
-/// functions of the STG, pointing into the SignalTable of
-/// decomposition->source), so netlist-free requests skip synthesis too.
-struct AnalysisService::SharedDecomposition {
-  SharedDecomposition(std::atomic<int>& live,
-                      std::shared_ptr<const core::FlowDecomposition> built,
-                      std::shared_ptr<const circuit::Circuit> circuit,
-                      std::shared_ptr<const std::string> eqn)
-      : live(live),
-        decomposition(std::move(built)),
-        synth_circuit(std::move(circuit)),
-        synth_eqn(std::move(eqn)) {
-    live.fetch_add(1, std::memory_order_relaxed);
-  }
-  ~SharedDecomposition() { live.fetch_sub(1, std::memory_order_relaxed); }
-
-  /// The bytes an entry with `circuit` pins through this value beyond
-  /// the FlowDecomposition (see Entry::shared_bytes).
-  std::size_t pinned_bytes(const circuit::Circuit* circuit) const {
-    std::size_t total = sizeof(SharedDecomposition) + kControlBlockBytes;
-    if (synth_circuit != nullptr && synth_circuit.get() != circuit)
-      total += footprint(*synth_circuit) + kControlBlockBytes +
-               sizeof(std::string) + heap_bytes(*synth_eqn) +
-               kControlBlockBytes;
-    return total;
-  }
-
-  std::atomic<int>& live;  // AnalysisService::live_decompositions_
-  std::shared_ptr<const core::FlowDecomposition> decomposition;
-  std::shared_ptr<const circuit::Circuit> synth_circuit;  // null = none
-  std::shared_ptr<const std::string> synth_eqn;  // set with synth_circuit
 };
 
 AnalysisService::AnalysisService(ServiceOptions options)
@@ -336,7 +308,7 @@ void AnalysisService::register_metrics() {
   decomp_hits_ = &metrics_.counter(
       "sitime_decomp_cache_hits_total",
       "Decompose phases served by a shared decomposition of the same STG "
-      "(a hit skips the global-SG rebuild).");
+      "(a hit with a netlist skips the global-SG rebuild).");
   decomp_misses_ = &metrics_.counter(
       "sitime_decomp_cache_misses_total",
       "Decompose phases that found no shared decomposition to reuse.");
@@ -416,106 +388,68 @@ std::shared_ptr<const std::string> AnalysisService::decompose_shared(
     Entry& entry, const core::CancelToken& cancel, RunStats& run) {
   core::PhaseArtifacts& artifacts = entry.artifacts;
   const bool caching = options_.cache_budget_bytes > 0;
-  const std::shared_ptr<const SharedDecomposition> shared =
-      caching ? find_decomposition(entry.stg_canonical,
-                                   /*need_synthesis=*/artifacts.circuit ==
-                                       nullptr)
-              : nullptr;
+  std::shared_ptr<const core::FlowDecomposition> shared =
+      caching ? find_decomposition(entry.stg_canonical) : nullptr;
   if (shared == nullptr) {
     core::run_decompose_phase(artifacts, cancel);
-    auto netlist =
-        std::make_shared<const std::string>(artifacts.circuit->to_eqn());
     ++run.decomposes;
-    run.decompose_seconds = artifacts.decompose_seconds;
-    if (caching) {
-      if (const auto published = publish_decomposition(entry, netlist)) {
-        artifacts.decomposition = std::shared_ptr<const core::FlowDecomposition>(
-            published, published->decomposition.get());
-        entry.shared_bytes = published->pinned_bytes(artifacts.circuit.get());
-      }
-    }
-    return netlist;
-  }
-
-  // The phase still executes (cheaply): it polls the same fault and
-  // cancel points as a cold decompose, so injected decompose faults and
-  // deadlines behave identically warm.
-  const auto start = std::chrono::steady_clock::now();
-  if (base::fault_fires(base::FaultPoint::decompose))
-    base::injected_failure(base::FaultPoint::decompose);
-  cancel.poll("decompose phase");
-  std::shared_ptr<const std::string> netlist;
-  if (artifacts.circuit == nullptr) {
-    artifacts.circuit = shared->synth_circuit;
-    netlist = shared->synth_eqn;  // no re-serialization
+    if (caching)
+      artifacts.decomposition = publish_decomposition(
+          entry.stg_canonical, std::move(artifacts.decomposition));
   } else {
-    netlist = std::make_shared<const std::string>(artifacts.circuit->to_eqn());
+    // The phase still executes (cheaply): it polls the same fault and
+    // cancel points as a cold decompose, so injected decompose faults and
+    // deadlines behave identically warm. Only a netlist-free entry builds
+    // the global SG, to synthesize its circuit.
+    const auto start = std::chrono::steady_clock::now();
+    if (base::fault_fires(base::FaultPoint::decompose))
+      base::injected_failure(base::FaultPoint::decompose);
+    cancel.poll("decompose phase");
+    if (artifacts.circuit == nullptr)
+      artifacts.circuit = core::synthesize_circuit(
+          *artifacts.stg, sg::build_global_sg(*artifacts.stg,
+                                              /*state_limit=*/1 << 20,
+                                              cancel));
+    artifacts.decomposition = std::move(shared);
+    artifacts.decompose_seconds = seconds_since(start);
+    artifacts.completed = core::Phase::decomposed;
+    run.decomp_hit = true;
   }
-  const core::FlowDecomposition& decomposition = *shared->decomposition;
-  const std::size_t components = decomposition.component_stgs.size();
-  const std::size_t gates = artifacts.circuit->gates().size();
-  if (decomposition.jobs.size() == components * gates) {
-    artifacts.decomposition = std::shared_ptr<const core::FlowDecomposition>(
-        shared, &decomposition);
-    entry.shared_bytes = shared->pinned_bytes(artifacts.circuit.get());
-  } else {
-    // Same STG, different gate count: a private copy with the job list
-    // re-targeted at this circuit.
-    auto retargeted = std::make_shared<core::FlowDecomposition>(decomposition);
-    retargeted->jobs = core::enumerate_flow_jobs(static_cast<int>(components),
-                                                 static_cast<int>(gates));
-    artifacts.decomposition = std::move(retargeted);
-  }
-  artifacts.decompose_seconds = seconds_since(start);
-  artifacts.completed = core::Phase::decomposed;
-  run.decomp_hit = true;
   run.decompose_seconds = artifacts.decompose_seconds;
-  return netlist;
+  return std::make_shared<const std::string>(artifacts.circuit->to_eqn());
 }
 
-std::shared_ptr<const AnalysisService::SharedDecomposition>
-AnalysisService::find_decomposition(const std::string& stg_canonical,
-                                    bool need_synthesis) {
-  std::shared_ptr<const SharedDecomposition> shared;
+std::shared_ptr<const core::FlowDecomposition>
+AnalysisService::find_decomposition(const std::string& stg_canonical) {
+  std::shared_ptr<const core::FlowDecomposition> shared;
   {
     std::lock_guard<std::mutex> lock(decompositions_mutex_);
     const auto found = decompositions_.find(stg_canonical);
     if (found != decompositions_.end()) shared = found->second.lock();
   }
-  if (shared != nullptr &&
-      (!need_synthesis || shared->synth_circuit != nullptr)) {
-    decomp_hits_->inc();
-    return shared;
-  }
-  decomp_misses_->inc();
-  return nullptr;
+  (shared != nullptr ? decomp_hits_ : decomp_misses_)->inc();
+  return shared;
 }
 
-std::shared_ptr<const AnalysisService::SharedDecomposition>
+std::shared_ptr<const core::FlowDecomposition>
 AnalysisService::publish_decomposition(
-    const Entry& entry, std::shared_ptr<const std::string> netlist) {
-  const bool synthesized = !entry.explicit_netlist;
-  std::shared_ptr<const SharedDecomposition> resident;  // dies unlocked
+    const std::string& stg_canonical,
+    std::shared_ptr<const core::FlowDecomposition> built) {
   std::lock_guard<std::mutex> lock(decompositions_mutex_);
-  const auto found = decompositions_.find(entry.stg_canonical);
-  if (found != decompositions_.end()) {
-    resident = found->second.lock();
-    if (resident != nullptr && resident->synth_circuit != nullptr &&
-        !synthesized)
-      return nullptr;
-  } else if (decompositions_.size() >=
-             2 * static_cast<std::size_t>(
-                     live_decompositions_.load(std::memory_order_relaxed))) {
+  if (!decompositions_.contains(stg_canonical) &&
+      decompositions_.size() >=
+          2 * static_cast<std::size_t>(
+                  live_decompositions_.load(std::memory_order_relaxed))) {
     // Amortized: after a prune at most the live slots remain, so at least
     // as many inserts pass before the next one.
     std::erase_if(decompositions_,
                   [](const auto& slot) { return slot.second.expired(); });
   }
-  auto shared = std::make_shared<const SharedDecomposition>(
-      live_decompositions_, entry.artifacts.decomposition,
-      synthesized ? entry.artifacts.circuit : nullptr,
-      synthesized ? std::move(netlist) : nullptr);
-  decompositions_.insert_or_assign(entry.stg_canonical, shared);
+  const core::FlowDecomposition* decomposition = built.get();
+  live_decompositions_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const core::FlowDecomposition> shared(
+      decomposition, LiveCount{&live_decompositions_, std::move(built)});
+  decompositions_.insert_or_assign(stg_canonical, shared);
   return shared;
 }
 

@@ -19,11 +19,13 @@
 //     verify/derive traffic on one design holds one entry and runs
 //     decompose_flow once.
 //   - shared decompositions: the decomposition is a pure function of the
-//     STG, so every design entry of one canonical STG holds the same one
-//     (a netlist-only edit is a new entry that skips the global-SG
-//     rebuild). An intern map keyed on the canonical STG points at each
-//     live decomposition without owning it: a decomposition lives exactly
-//     as long as some entry or in-flight run holds it.
+//     STG, so every design entry of one canonical STG holds the same one,
+//     with or without a netlist (a netlist-only edit is a new entry that
+//     skips the global-SG rebuild; a netlist-free entry still builds it
+//     to synthesize its own circuit). An intern map keyed on the
+//     canonical STG points at each live decomposition without owning it:
+//     a decomposition lives exactly as long as some entry or in-flight
+//     run holds it.
 //   - LRU eviction by byte budget: resident designs sit in one exact-LRU
 //     svc::CacheTier of ServiceOptions::cache_budget_bytes. Each entry is
 //     charged a calibrated estimate of its resident footprint (real
@@ -94,8 +96,9 @@ struct TraceSpan {
   double seconds = 0.0;
   /// Cache provenance or per-span context: "cold" / "upgrade" on phase
   /// spans, "cache=decomp" on a decompose span served by a shared
-  /// decomposition (the phase appears in phases_run but no global-SG
-  /// rebuild happened), "hit" on the cache span, "jobs=4 steps=123
+  /// decomposition (the phase appears in phases_run but only a
+  /// netlist-free entry builds the global SG, to synthesize its circuit),
+  /// "hit" on the cache span, "jobs=4 steps=123
   /// subtasks=5" on the expand aggregate.
   std::string detail;
   /// Name of the enclosing span ("" = top level): the per-job expansion
@@ -314,7 +317,6 @@ class AnalysisService {
  private:
   struct Entry;
   struct Parsed;
-  struct SharedDecomposition;
 
   /// What one single-flight run actually executed, for counters,
   /// histograms and trace spans. Captured by the runner while it is still
@@ -365,7 +367,8 @@ class AnalysisService {
                   std::string& error_code, RunStats& run,
                   core::Phase& achieved, std::size_t& footprint);
   /// The decompose phase of `entry` (the caller is its runner): shares
-  /// the live decomposition of the entry's STG when there is one, else
+  /// the live decomposition of the entry's STG when there is one (and
+  /// synthesizes the entry's circuit when it has no netlist), else
   /// decomposes and publishes the result for the STG's later entries.
   /// Returns the canonical netlist of the entry's circuit.
   std::shared_ptr<const std::string> decompose_shared(Entry& entry,
@@ -373,17 +376,16 @@ class AnalysisService {
                                                           cancel,
                                                       RunStats& run);
   /// The live decomposition interned under `stg_canonical`, or null;
-  /// counts a hit or a miss. A caller without its own netlist
-  /// (`need_synthesis`) is served only by one that kept the synthesized
-  /// circuit.
-  std::shared_ptr<const SharedDecomposition> find_decomposition(
-      const std::string& stg_canonical, bool need_synthesis);
-  /// Interns `entry`'s fresh decomposition under its STG and returns it,
-  /// or null when a live one that kept synthesis products this one lacks
-  /// stays interned instead. Prunes expired slots first once they could
-  /// outnumber the live ones.
-  std::shared_ptr<const SharedDecomposition> publish_decomposition(
-      const Entry& entry, std::shared_ptr<const std::string> netlist);
+  /// counts a hit or a miss.
+  std::shared_ptr<const core::FlowDecomposition> find_decomposition(
+      const std::string& stg_canonical);
+  /// Interns the fresh decomposition `built` under `stg_canonical`
+  /// (replacing any other live one there) and returns the shared handle
+  /// the STG's entries hold it through. Prunes expired slots first once
+  /// they could outnumber the live ones.
+  std::shared_ptr<const core::FlowDecomposition> publish_decomposition(
+      const std::string& stg_canonical,
+      std::shared_ptr<const core::FlowDecomposition> built);
   /// Runner epilogue under mutex_: retention (inflight -> design tier or
   /// resident re-charge) and counter updates.
   void finish_run(const std::shared_ptr<Entry>& entry, bool from_scratch,
@@ -411,14 +413,14 @@ class AnalysisService {
 
   ServiceOptions options_;
   sg::SgCache sg_cache_;  // cross-request SG memoization
-  /// Live shared decompositions: each one's destructor decrements it
+  /// Live shared decompositions: each one's deleter decrements it
   /// without a lock, so stats() never walks the intern map. Declared
   /// before every holder of a decomposition, so it outlives them all.
   std::atomic<int> live_decompositions_{0};
   /// The intern map: canonical STG -> its shared decomposition, not
   /// owned. Expired slots are pruned on insert.
   mutable std::mutex decompositions_mutex_;
-  std::unordered_map<std::string, std::weak_ptr<const SharedDecomposition>>
+  std::unordered_map<std::string, std::weak_ptr<const core::FlowDecomposition>>
       decompositions_;
   /// Resident designs by canonical key, exact LRU. Changed only under
   /// mutex_, so residency and inflight_ move together.

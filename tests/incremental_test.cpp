@@ -1,9 +1,11 @@
 // Incremental edits through the service's design cache and its shared
 // decompositions: an edited design whose whole-design key misses shares
 // the decomposition of its STG and still produces output byte-identical to
-// a cold run at any worker count. Also covers sharing under budgets that
-// hold one design, the lifetime of a shared decomposition, a concurrent
-// edit storm, and the counters of an edit session under a tight budget.
+// a cold run at any worker count. Also covers sharing between netlist-free
+// and explicit entries and across gate orders, sharing under budgets that
+// hold one design, the lifetime of a shared decomposition, concurrent edit
+// and netlist races, and the counters of an edit session under a tight
+// budget.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -184,60 +186,93 @@ void expect_no_gate_tier(const svc::CacheStats& stats) {
   EXPECT_EQ(stats.gate_bytes, 0u);
 }
 
-TEST(IncrementalService, RetainedSynthesisServesNetlistFreeRequests) {
+TEST(IncrementalService, NetlistFreeRequestSharesAnExplicitEntrysDecomposition) {
   const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  svc::AnalysisService reference;
+  const auto cold =
+      reference.analyze(derive_request(bench.name, bench.astg, ""));
+  ASSERT_TRUE(cold.ok) << cold.error;
 
-  // An explicit-netlist decomposition keeps no synthesis products, so a
-  // netlist-free request must synthesize once; its decomposition, which
-  // keeps the synthesized circuit, replaces the explicit one as the STG's
-  // shared decomposition.
+  // The decomposition depends on the STG alone, so a netlist-free request
+  // after an explicit entry of the same STG shares that entry's
+  // decomposition and synthesizes only its own circuit.
   svc::AnalysisService service;
   ASSERT_TRUE(
       service.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
-  const auto synth = service.analyze(derive_request(bench.name, bench.astg, ""));
+  const auto synth =
+      service.analyze(derive_request(bench.name, bench.astg, ""));
   ASSERT_TRUE(synth.ok) << synth.error;
-  const svc::CacheStats upgraded = service.stats();
-  EXPECT_EQ(upgraded.decomp_hits, 0);
-  EXPECT_EQ(upgraded.decomp_misses, 2);
-  EXPECT_EQ(upgraded.decomp_entries, 2);  // each design holds its own
-  EXPECT_EQ(upgraded.decompose_runs, 2);
-
-  // The synthesized netlist sent back explicitly shares that one.
+  EXPECT_EQ(synth.cache_state, "fresh");
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.decomp_hits, 1);
+  EXPECT_EQ(stats.decomp_misses, 1);
+  EXPECT_EQ(stats.decompose_runs, 1);
+  EXPECT_EQ(stats.decomp_entries, 1);
+  ASSERT_NE(synth.canonical_json, nullptr);
+  EXPECT_EQ(*synth.canonical_json, *cold.canonical_json);
   ASSERT_NE(synth.netlist_eqn, nullptr);
-  const std::string echoed_eqn = *synth.netlist_eqn;
-  ASSERT_TRUE(
-      service.analyze(derive_request(bench.name, bench.astg, echoed_eqn)).ok);
-  const svc::CacheStats echoed = service.stats();
-  EXPECT_EQ(echoed.decomp_hits, 1);
-  EXPECT_EQ(echoed.decomp_entries, 2);
-  EXPECT_EQ(echoed.decompose_runs, 2);
+  EXPECT_EQ(*synth.netlist_eqn, *cold.netlist_eqn);
+}
 
-  // Under a budget of one design, the echoed design evicts the
-  // netlist-free one but keeps the shared synthesized circuit alive: the
-  // netlist-free repeat skips synthesis AND the global-SG rebuild, with
-  // the same bytes.
-  svc::AnalysisService calibrate;
+/// The netlist with its equations in reverse order (one equation a line).
+std::string reversed_equations(const std::string& eqn) {
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < eqn.size();) {
+    auto end = eqn.find('\n', at);
+    if (end == std::string::npos) end = eqn.size();
+    if (end > at) lines.push_back(eqn.substr(at, end - at));
+    at = end + 1;
+  }
+  std::string reversed;
+  for (auto line = lines.rbegin(); line != lines.rend(); ++line)
+    reversed += *line + '\n';
+  return reversed;
+}
+
+/// The netlist without the cube `cube` (not an equation's first cube).
+std::string drop_cube(const std::string& eqn, const std::string& cube) {
+  const std::string term = " + " + cube;
+  const auto at = eqn.find(term);
+  EXPECT_NE(at, std::string::npos) << "no cube " << cube;
+  std::string dropped = eqn;
+  if (at != std::string::npos) dropped.erase(at, term.size());
+  return dropped;
+}
+
+TEST(IncrementalService, ReversedGateOrderSharesTheDecomposition) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const std::string reversed = reversed_equations(bench.eqn);
+  // Two gates without a hold cube each: the verdict names the first
+  // offender in job order, and the job order follows the circuit's gate
+  // order (prnot comes first in the bundled netlist, csc0 here).
+  const std::string broken =
+      drop_cube(drop_cube(reversed, "i4*prnot"), "i8' * csc0");
+  svc::AnalysisService reference;
+  const auto cold =
+      reference.analyze(derive_request(bench.name, bench.astg, reversed));
+  ASSERT_TRUE(cold.ok) << cold.error;
+  ASSERT_NE(cold.canonical_json, nullptr);
+  const auto cold_broken =
+      reference.analyze(derive_request(bench.name, bench.astg, broken));
+  ASSERT_TRUE(cold_broken.ok) << cold_broken.error;
+  EXPECT_EQ(cold_broken.verify_offender, "csc0");
+
+  svc::AnalysisService service;
   ASSERT_TRUE(
-      calibrate.analyze(derive_request(bench.name, bench.astg, "")).ok);
-  svc::ServiceOptions one_design;
-  one_design.cache_budget_bytes = calibrate.stats().bytes * 3 / 2;
-  svc::AnalysisService tight(one_design);
-  ASSERT_TRUE(tight.analyze(derive_request(bench.name, bench.astg, "")).ok);
-  ASSERT_TRUE(
-      tight.analyze(derive_request(bench.name, bench.astg, echoed_eqn)).ok);
-  const svc::CacheStats before = tight.stats();
-  ASSERT_EQ(before.entries, 1);
-  ASSERT_EQ(before.evictions, 1);
-  const auto warm = tight.analyze(derive_request(bench.name, bench.astg, ""));
-  ASSERT_TRUE(warm.ok) << warm.error;
-  EXPECT_EQ(warm.cache_state, "fresh");
-  const svc::CacheStats after = tight.stats();
-  EXPECT_EQ(after.decomp_hits, 2);
-  EXPECT_EQ(after.decompose_runs, 1);
-  ASSERT_NE(warm.canonical_json, nullptr);
-  EXPECT_EQ(*warm.canonical_json, *synth.canonical_json);
-  ASSERT_NE(warm.netlist_eqn, nullptr);
-  EXPECT_EQ(*warm.netlist_eqn, echoed_eqn);
+      service.analyze(derive_request(bench.name, bench.astg, bench.eqn)).ok);
+  const auto shared =
+      service.analyze(derive_request(bench.name, bench.astg, reversed));
+  ASSERT_TRUE(shared.ok) << shared.error;
+  ASSERT_NE(shared.canonical_json, nullptr);
+  EXPECT_EQ(*shared.canonical_json, *cold.canonical_json);
+  const auto shared_broken =
+      service.analyze(derive_request(bench.name, bench.astg, broken));
+  ASSERT_TRUE(shared_broken.ok) << shared_broken.error;
+  EXPECT_EQ(shared_broken.verify_offender, cold_broken.verify_offender);
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.decomp_hits, 2);
+  EXPECT_EQ(stats.decomp_misses, 1);
+  EXPECT_EQ(stats.decompose_runs, 1);
 }
 
 TEST(IncrementalService, EditsShareOneDecompositionUnderAOneDesignBudget) {
@@ -408,6 +443,66 @@ TEST(IncrementalService, ConcurrentEditStormMatchesColdReportsByteForByte) {
   EXPECT_LE(stats.bytes, stats.budget_bytes);
 }
 
+TEST(IncrementalService, NetlistFreeAndExplicitRacesMatchColdReportsByteForByte) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  // Cold references: caching off, one service per netlist; the
+  // synthesized netlist is also sent back explicitly.
+  std::vector<std::string> netlists = {"", bench.eqn};
+  std::map<std::string, std::string> cold;
+  std::map<std::string, std::string> cold_netlist;
+  for (std::size_t i = 0; i < netlists.size(); ++i) {
+    svc::ServiceOptions off;
+    off.cache_budget_bytes = 0;
+    svc::AnalysisService reference(off);
+    const auto response = reference.analyze(
+        derive_request(bench.name, bench.astg, netlists[i]));
+    ASSERT_TRUE(response.ok) << response.error;
+    cold[netlists[i]] = *response.canonical_json;
+    cold_netlist[netlists[i]] = *response.netlist_eqn;
+    if (i == 0) netlists.push_back(*response.netlist_eqn);
+  }
+
+  // Four threads race the netlist-free and explicit entries of one STG
+  // through a fresh service per round, so the first decompose of the STG
+  // and its publication are contended every round.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    svc::AnalysisService service;
+    std::vector<std::vector<std::string>> reports(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < netlists.size(); ++i) {
+          const std::string& eqn = netlists[(i + t) % netlists.size()];
+          const auto response = service.analyze(
+              derive_request(bench.name, bench.astg, eqn, /*jobs=*/2));
+          reports[t].push_back(
+              response.ok && response.canonical_json != nullptr &&
+                      response.netlist_eqn != nullptr
+                  ? eqn + '\x1f' + *response.netlist_eqn + '\x1f' +
+                        *response.canonical_json
+                  : "error: " + response.error);
+        }
+      });
+    for (std::thread& thread : threads) thread.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(reports[t].size(), netlists.size());
+      for (const std::string& report : reports[t]) {
+        const auto split = report.find('\x1f');
+        ASSERT_NE(split, std::string::npos) << report;
+        const auto body = report.find('\x1f', split + 1);
+        const std::string eqn = report.substr(0, split);
+        EXPECT_EQ(report.substr(split + 1, body - split - 1),
+                  cold_netlist[eqn]);
+        EXPECT_EQ(report.substr(body + 1), cold[eqn]);
+      }
+    }
+    EXPECT_EQ(service.stats().failures, 0);
+  }
+}
+
 /// A scripted editor session over three designs: verify then derive (a
 /// lazy upgrade), the synthesized netlist sent back explicitly, two
 /// single-gate edits, a netlist-free repeat, then the originals again.
@@ -466,8 +561,8 @@ TEST(IncrementalService, TightBudgetEditSessionPinsTheDesignTiersCounters) {
   EXPECT_EQ(stats.evictions, 10);
   EXPECT_EQ(stats.entries, 4);
 
-  EXPECT_EQ(stats.decomp_hits, 8);
-  EXPECT_EQ(stats.decomp_misses, 6);
+  EXPECT_EQ(stats.decomp_hits, 9);
+  EXPECT_EQ(stats.decomp_misses, 5);
   EXPECT_EQ(stats.decomp_entries, 3);
   EXPECT_EQ(stats.decomp_evictions, 0);
   EXPECT_EQ(stats.decomp_bytes, 0u);
