@@ -34,8 +34,8 @@ int main() {
       const stg::Stg stg = benchdata::load_stg(bench);
       const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
       for (int p = 0; p < 3; ++p) {
-        core::ExpandOptions options;
-        options.order = policies[p].policy;
+        core::FlowOptions options;
+        options.expand.order = policies[p].policy;
         const core::FlowResult r =
             core::derive_timing_constraints(stg, circuit, options);
         std::printf(" %10zu (%2d<=5)", r.after.size(),

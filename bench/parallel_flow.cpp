@@ -99,9 +99,8 @@ int main() {
   // gate) job level. On a single-MG-component design the job count used to
   // cap the fan-out; with the OR-causality subSTG recursion split into
   // subtasks, jobs > (component × gate) now yields more than one active
-  // expansion body. peak_active_bodies is the measured high-water mark of
-  // concurrently executing bodies (jobs + subtasks) — > 1 on a
-  // single-component benchmark is the evidence the fan-out engaged.
+  // expansion body. expand_subtasks > 0 on a single-component benchmark is
+  // the evidence the fan-out engaged.
   std::printf("  \"expansion_subtasks\": [\n");
   first = true;
   for (const auto& bench : benchdata::all_benchmarks()) {
@@ -127,13 +126,12 @@ int main() {
 
     std::printf("%s    {\"design\": \"%s\", \"jobs\": %d, "
                 "\"component_gate_jobs\": %d, \"expand_subtasks\": %d, "
-                "\"peak_active_bodies\": %d, \"seconds\": %.6f, "
-                "\"constraints_identical\": %s}",
+                "\"seconds\": %.6f, \"constraints_identical\": %s}",
                 first ? "" : ",\n", bench.name.c_str(),
                 subtask_options.jobs,
                 serial.mg_component_count * serial.gate_count,
-                fanned.expand_subtasks, fanned.peak_active_bodies,
-                fanned_seconds, identical ? "true" : "false");
+                fanned.expand_subtasks, fanned_seconds,
+                identical ? "true" : "false");
     first = false;
   }
   std::printf("\n  ],\n");

@@ -69,38 +69,10 @@ int find_er_violation(const sg::StateGraph& graph, const stg::MgStg& mg,
   return -1;
 }
 
-/// RAII gauge of concurrently executing expansion bodies (jobs and
-/// subtasks), feeding the optional ExpandOptions counters.
-class BodyGauge {
- public:
-  explicit BodyGauge(const ExpandOptions& options)
-      : active_(options.active_bodies), peak_(options.peak_bodies) {
-    if (active_ == nullptr) return;
-    const int now = active_->fetch_add(1, std::memory_order_relaxed) + 1;
-    if (peak_ == nullptr) return;
-    int peak = peak_->load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_->compare_exchange_weak(peak, now,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  ~BodyGauge() {
-    if (active_ != nullptr)
-      active_->fetch_sub(1, std::memory_order_relaxed);
-  }
-  BodyGauge(const BodyGauge&) = delete;
-  BodyGauge& operator=(const BodyGauge&) = delete;
-
- private:
-  std::atomic<int>* active_;
-  std::atomic<int>* peak_;
-};
-
 }  // namespace
 
 void Expander::expand(stg::MgStg local, const circuit::Gate& gate,
                       ConstraintSet& rt) {
-  BodyGauge gauge(options_);
   expand_inner(std::move(local), gate, rt, 0);
 }
 
@@ -139,7 +111,6 @@ void Expander::expand_children(std::vector<stg::MgStg> subs,
     group.run([this, &gate, &subs, &slots, &errors, &first_error, i,
                depth] {
       if (i > first_error.load(std::memory_order_acquire)) return;
-      BodyGauge gauge(options_);
       auto record_error = [&errors, &first_error, i]() {
         errors[i] = std::current_exception();
         std::size_t current = first_error.load(std::memory_order_relaxed);

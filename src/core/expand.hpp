@@ -58,13 +58,6 @@ struct ExpandOptions {
   /// waiting); output is identical either way. Ignored while `trace` is
   /// set — an interleaved trace would be useless.
   base::ThreadPool* subtask_pool = nullptr;
-  /// Shared concurrency gauges, for benches and diagnostics: when set,
-  /// every concurrently executing expansion body (a top-level expand() or
-  /// a subSTG subtask) increments `active_bodies` while it runs and
-  /// records the high-water mark in `peak_bodies`. Both may be shared
-  /// across many Expanders (the flow passes one pair to every job).
-  std::atomic<int>* active_bodies = nullptr;
-  std::atomic<int>* peak_bodies = nullptr;
   /// Cooperative cancellation: polled once per relaxation attempt and
   /// inside every SG build. Like ExpandLimitError, base::CancelledError is
   /// rethrown past the OR-causality fallback — a cancelled subSTG must

@@ -9,6 +9,7 @@
 #include "core/local_stg.hpp"
 #include "core/report.hpp"
 #include "pn/hack.hpp"
+#include "sg/sg_cache.hpp"
 #include "sg/state_graph.hpp"
 
 namespace sitime::core {
@@ -62,7 +63,7 @@ FlowDecomposition decompose_flow(const stg::Stg& impl,
                                  const CancelToken& cancel) {
   return decompose_flow(
       impl, circuit,
-      sg::build_global_sg(impl, /*state_limit=*/1 << 20, cancel));
+      sg::build_global_sg(impl, sg::kDefaultGlobalSgStateLimit, cancel));
 }
 
 FlowDecomposition decompose_flow(const stg::Stg& impl,
@@ -187,19 +188,13 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
   std::atomic<int> step_budget{0};  // makes max_steps a per-flow bound
 
   // Parallel runs also fan the OR-causality subSTG recursion out onto the
-  // same pool (intra-gate parallelism below the job level), and meter the
-  // concurrency high-water mark for the scaling bench.
-  std::atomic<int> active_bodies{0};
-  std::atomic<int> peak_bodies{0};
+  // same pool (intra-gate parallelism below the job level).
   ExpandOptions expand_options = options.expand;
   if (options.cancel.cancellable() && !expand_options.cancel.cancellable())
     expand_options.cancel = options.cancel;
-  if (result.jobs > 1) {
+  if (result.jobs > 1)
     expand_options.subtask_pool =
         options.pool != nullptr ? options.pool : &base::ThreadPool::shared();
-    expand_options.active_bodies = &active_bodies;
-    expand_options.peak_bodies = &peak_bodies;
-  }
 
   // Each job fills its own slot; slots are merged in job order below, so
   // the constraint sets cannot depend on the schedule.
@@ -243,8 +238,6 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
     result.expand_steps += out.steps;
     result.expand_subtasks += out.subtasks;
   }
-  result.peak_active_bodies =
-      std::max(1, peak_bodies.load(std::memory_order_relaxed));
   result.cache_hits = static_cast<int>(cache.hits() - cache_hits_before);
   result.cache_misses =
       static_cast<int>(cache.misses() - cache_misses_before);
@@ -252,31 +245,11 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
   return result;
 }
 
-FlowResult derive_timing_constraints(const stg::Stg& impl,
-                                     const circuit::Circuit& circuit,
-                                     const ExpandOptions& options) {
-  FlowOptions flow_options;
-  flow_options.expand = options;
-  return derive_timing_constraints(impl, circuit, flow_options);
-}
-
 std::string verify_speed_independent(const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
-                                     int jobs, base::ThreadPool* pool,
-                                     const CancelToken& cancel) {
-  return verify_speed_independent(decompose_flow(impl, circuit, cancel),
-                                  circuit, jobs, pool, cancel);
-}
-
-std::string verify_speed_independent(const FlowDecomposition& decomposition,
-                                     const circuit::Circuit& circuit,
-                                     int jobs, base::ThreadPool* pool,
-                                     const CancelToken& cancel) {
-  FlowOptions options;
-  options.jobs = jobs;
-  options.pool = pool;
-  options.cancel = cancel;
-  return verify_speed_independent(decomposition, circuit, options);
+                                     const FlowOptions& options) {
+  return verify_speed_independent(
+      decompose_flow(impl, circuit, options.cancel), circuit, options);
 }
 
 std::string verify_speed_independent(const FlowDecomposition& decomposition,
@@ -285,12 +258,9 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
   // The smallest offending job index wins, so the answer is stable for any
   // schedule (and matches the serial early-exit order).
   std::atomic<int> first_bad{std::numeric_limits<int>::max()};
-  // Verify builds bypass the SG cache (each local STG is built once) but
-  // observe its latency sink.
-  sg::SgBuildOptions sg_build;
-  sg_build.cancel = options.cancel;
-  if (options.sg_cache != nullptr)
-    sg_build.seconds = options.sg_cache->build_seconds();
+  sg::SgCache private_cache;  // per-run fallback, as in derive
+  sg::SgCache& cache =
+      options.sg_cache != nullptr ? *options.sg_cache : private_cache;
   for_each_flow_job(
       decomposition,
       [&](const FlowJob& job) {
@@ -299,8 +269,9 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
         const circuit::Gate& gate = circuit.gates()[job.gate];
         const stg::MgStg local =
             local_stg(decomposition.component_stgs[job.component], gate);
-        const sg::StateGraph graph = sg::build_state_graph(local, sg_build);
-        if (timing_conformant(graph, local, gate)) return true;
+        const std::shared_ptr<const sg::StateGraph> graph =
+            cache.get_or_build(local, options.cancel);
+        if (timing_conformant(*graph, local, gate)) return true;
         int current = first_bad.load(std::memory_order_relaxed);
         while (job.index < current &&
                !first_bad.compare_exchange_weak(current, job.index)) {

@@ -58,10 +58,6 @@ struct FlowResult {
   /// a *returned* result. Orchestration statistics still stay out of the
   /// canonical report body.
   int expand_subtasks = 0;
-  /// High-water mark of concurrently executing expansion bodies (jobs +
-  /// subtasks). Scheduling-dependent by nature — bench evidence that the
-  /// fan-out engaged, never part of any report body.
-  int peak_active_bodies = 1;
   int cache_hits = 0;       // shared SgCache statistics
   int cache_misses = 0;
   double seconds = 0.0;     // end to end
@@ -79,13 +75,13 @@ struct FlowOptions {
   /// Pool carrying the jobs; null = base::ThreadPool::shared(). Ignored
   /// when jobs == 1.
   base::ThreadPool* pool = nullptr;
-  /// State-graph cache shared across flow runs (a resident service keeps
-  /// one per process so repeated designs skip SG construction); null = a
-  /// private per-run cache. FlowResult::cache_hits/misses report this
-  /// run's delta, which is exact for a private cache and approximate when
-  /// other concurrent runs share the same cache. The verify phase builds
-  /// its local SGs directly, uncached, but observes the cache's
-  /// build_seconds() latency sink.
+  /// The one source of local state graphs for both the verify and the
+  /// derive phase. Shared across flow runs, it lets repeated and edited
+  /// designs skip SG construction (a resident service keeps one per
+  /// process); null = a private per-run cache. FlowResult::cache_hits/
+  /// misses report the derive run's delta, which is exact for a private
+  /// cache and approximate when other concurrent runs share the same
+  /// cache.
   sg::SgCache* sg_cache = nullptr;
   /// Cooperative cancellation, polled in every hot loop of the flow (job
   /// dispatch, SG BFS, Expand relaxation steps). A cancelled
@@ -153,10 +149,7 @@ void for_each_local_stg(
 /// non-free-choice net, missing gates).
 FlowResult derive_timing_constraints(const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
-                                     const FlowOptions& options);
-FlowResult derive_timing_constraints(const stg::Stg& impl,
-                                     const circuit::Circuit& circuit,
-                                     const ExpandOptions& options = {});
+                                     const FlowOptions& options = {});
 
 /// Same flow on a prebuilt decomposition (which must come from
 /// decompose_flow(impl, circuit)): lets one decomposition feed both the
@@ -170,26 +163,18 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
 /// Checks the precondition of the flow: under the isochronic fork
 /// assumption (i.e. before any relaxation) every gate's local STG is timing
 /// conformant to the gate. Returns the name of the first offending gate (in
-/// stable job order, independent of `jobs`), or an empty string.
+/// stable job order, independent of `options.jobs`), or an empty string.
+/// The local SGs come from `options.sg_cache` (or a private per-run cache),
+/// exactly as in derive_timing_constraints; the expand options do not
+/// participate.
 std::string verify_speed_independent(const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
-                                     int jobs = 1,
-                                     base::ThreadPool* pool = nullptr,
-                                     const CancelToken& cancel = {});
+                                     const FlowOptions& options = {});
 
 /// verify_speed_independent on a prebuilt decomposition (same contract).
 std::string verify_speed_independent(const FlowDecomposition& decomposition,
                                      const circuit::Circuit& circuit,
-                                     int jobs = 1,
-                                     base::ThreadPool* pool = nullptr,
-                                     const CancelToken& cancel = {});
-
-/// Same, with the worker knobs and cancel token of `options`; its SgCache,
-/// when set, only lends the verify builds its build_seconds() latency sink.
-/// The expand options do not participate.
-std::string verify_speed_independent(const FlowDecomposition& decomposition,
-                                     const circuit::Circuit& circuit,
-                                     const FlowOptions& options);
+                                     const FlowOptions& options = {});
 
 /// Renders the two constraint lists in the format of the thesis tool
 /// Check_hazard (Section 7.3.1).

@@ -61,7 +61,8 @@ void run_decompose_phase(PhaseArtifacts& artifacts,
   // One global SG feeds synthesis (when the netlist is absent) and the
   // decomposition.
   const sg::GlobalSg global =
-      sg::build_global_sg(*artifacts.stg, /*state_limit=*/1 << 20, cancel);
+      sg::build_global_sg(*artifacts.stg, sg::kDefaultGlobalSgStateLimit,
+                          cancel);
   if (artifacts.circuit == nullptr)
     artifacts.circuit = synthesize_circuit(*artifacts.stg, global);
   FlowDecomposition decomposition =

@@ -45,13 +45,17 @@ struct ReachabilityGraph {
   int successor(int s, int transition) const;
 };
 
+/// Default marking bound of reachability(), and through
+/// sg::kDefaultGlobalSgStateLimit of the global state graph.
+inline constexpr int kDefaultReachabilityStateLimit = 1 << 20;
+
 /// Exhaustive reachability from the initial marking. Throws when the number
 /// of markings exceeds `state_limit` (defensive bound for unbounded nets) or
 /// any place accumulates more than `token_limit` tokens. The BFS polls
 /// `cancel` every 256 states (base::CancelledError).
-ReachabilityGraph reachability(const PetriNet& net, int state_limit = 1 << 20,
-                               int token_limit = 8,
-                               const base::CancelToken& cancel = {});
+ReachabilityGraph reachability(
+    const PetriNet& net, int state_limit = kDefaultReachabilityStateLimit,
+    int token_limit = 8, const base::CancelToken& cancel = {});
 
 /// Every reachable marking puts at most one token in each place.
 bool is_safe(const PetriNet& net, const ReachabilityGraph& graph);

@@ -1,6 +1,9 @@
 #include "sg/sg_cache.hpp"
 
+#include <chrono>
+
 #include "base/marking_set.hpp"
+#include "base/metrics.hpp"
 
 namespace sitime::sg {
 
@@ -88,9 +91,13 @@ std::shared_ptr<const StateGraph> SgCache::get_or_build(
   misses_.fetch_add(1, std::memory_order_relaxed);
   SgBuildOptions build;
   build.cancel = cancel;
-  build.seconds = build_seconds_;
+  const auto build_start = std::chrono::steady_clock::now();
   auto graph =
       std::make_shared<const StateGraph>(build_state_graph(mg, build));
+  if (build_seconds_ != nullptr)
+    build_seconds_->observe(std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - build_start)
+                                .count());
   std::lock_guard<std::mutex> lock(shard.mutex);
   std::vector<Entry>& bucket = shard.buckets[hash];
   for (const Entry& entry : bucket)

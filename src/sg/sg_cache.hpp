@@ -22,7 +22,13 @@
 //
 // Misses build with the library's default state/token limits — cached
 // graphs must not depend on who triggered the miss — and the caller's
-// cancel token.
+// cancel token. The cache times its own misses: each completed miss build
+// makes one observation in the build-latency sink.
+//
+// The flow core gets every local SG here: the verify phase once per
+// (MG component × gate) job, Expand after every relaxation. A resident
+// service's repeated or edited designs therefore re-verify from graphs
+// already built, as they re-expand.
 //
 // Bound: a shard that reaches 256 graphs is cleared before its next
 // insert, so the cache never holds more than 16 × 256 = 4 096 graphs. That
@@ -40,6 +46,10 @@
 #include "sg/state_graph.hpp"
 #include "stg/marked_graph.hpp"
 
+namespace sitime::base {
+class MetricHistogram;
+}  // namespace sitime::base
+
 namespace sitime::sg {
 
 class SgCache {
@@ -51,14 +61,13 @@ class SgCache {
   std::shared_ptr<const StateGraph> get_or_build(
       const stg::MgStg& mg, const base::CancelToken& cancel = {});
 
-  /// Latency sink every miss build observes — and, through
-  /// core::FlowOptions::sg_cache, the verify phase's direct builds too
-  /// (null = none). Call before sharing the cache across threads (a
-  /// resident service sets it once at construction).
+  /// Latency sink observed once per completed miss build (null = none); a
+  /// hit or a build that throws observes nothing. Call before sharing the
+  /// cache across threads (a resident service sets it once at
+  /// construction).
   void set_build_seconds(base::MetricHistogram* seconds) {
     build_seconds_ = seconds;
   }
-  base::MetricHistogram* build_seconds() const { return build_seconds_; }
 
   // 64-bit: a resident service (svc::AnalysisService) keeps one cache for
   // the process lifetime, where 32-bit counters would wrap under traffic.

@@ -1,11 +1,9 @@
 #include "sg/state_graph.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
-#include "base/metrics.hpp"
 
 namespace sitime::sg {
 
@@ -38,21 +36,10 @@ namespace {
 
 }  // namespace
 
-StateGraph build_state_graph(const stg::MgStg& mg, int state_limit,
-                             int token_limit,
-                             const base::CancelToken& cancel) {
-  SgBuildOptions options;
-  options.state_limit = state_limit;
-  options.token_limit = token_limit;
-  options.cancel = cancel;
-  return build_state_graph(mg, options);
-}
-
 StateGraph build_state_graph(const stg::MgStg& mg,
                              const SgBuildOptions& options) {
   if (base::fault_fires(base::FaultPoint::sg_build))
     base::injected_failure(base::FaultPoint::sg_build);
-  const auto build_start = std::chrono::steady_clock::now();
   const int token_limit = options.token_limit;
   const auto& arcs = mg.arcs();
   const int arc_count = static_cast<int>(arcs.size());
@@ -132,11 +119,6 @@ StateGraph build_state_graph(const stg::MgStg& mg,
     }
   }
   graph.out_offsets.push_back(static_cast<int>(graph.out_data.size()));
-
-  if (options.seconds != nullptr)
-    options.seconds->observe(std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - build_start)
-                                 .count());
   return graph;
 }
 

@@ -6,7 +6,8 @@
 //    signal code; building checks consistency (rising/falling alternation).
 //    One serial BFS on the calling thread: local SGs are small (hundreds
 //    to about a thousand states), and parallelism lives one level up, in
-//    the flow's per-(component × gate) jobs.
+//    the flow's per-(component × gate) jobs. The flow core reaches it only
+//    through sg::SgCache, which memoizes the graphs and times the builds.
 //  - build_global_sg(): the SG of the full implementation STG (a possibly
 //    free-choice net), used by the synthesis substrate and for the "number
 //    of states" column of Table 7.2. Signal values are inferred from the
@@ -32,10 +33,6 @@
 #include "pn/analysis.hpp"
 #include "stg/marked_graph.hpp"
 #include "stg/stg.hpp"
-
-namespace sitime::base {
-class MetricHistogram;
-}  // namespace sitime::base
 
 namespace sitime::sg {
 
@@ -75,16 +72,17 @@ struct StateGraph {
 
 inline constexpr int kDefaultSgStateLimit = 200000;
 inline constexpr int kDefaultSgTokenLimit = 6;
+/// State bound of build_global_sg (the Petri-net reachability default).
+inline constexpr int kDefaultGlobalSgStateLimit =
+    pn::kDefaultReachabilityStateLimit;
 
-/// Construction knobs for build_state_graph.
+/// Construction knobs for build_state_graph. The build itself is untimed:
+/// latency is measured one level up, where sg::SgCache times its misses.
 struct SgBuildOptions {
   int state_limit = kDefaultSgStateLimit;
   int token_limit = kDefaultSgTokenLimit;
   /// Polled every 256 states; a fired token throws base::CancelledError.
   base::CancelToken cancel;
-  /// Build-latency sink, observed once per completed build when non-null
-  /// (the service registers it as sitime_sg_build_seconds).
-  base::MetricHistogram* seconds = nullptr;
 };
 
 /// Exhaustive reachability of the local STG: one serial BFS that numbers
@@ -92,17 +90,10 @@ struct SgBuildOptions {
 /// signal that has an alive transition. Throws on inconsistent firing (a+
 /// from a state where a = 1), when a state/token bound is exceeded (a
 /// symptom of relaxing a gate with redundant literals, Lemma 2), or when a
-/// transition has no input arc. The BFS polls `cancel` every 256 states
-/// (base::CancelledError).
+/// transition has no input arc. The BFS polls `options.cancel` every 256
+/// states (base::CancelledError).
 StateGraph build_state_graph(const stg::MgStg& mg,
-                             int state_limit = kDefaultSgStateLimit,
-                             int token_limit = kDefaultSgTokenLimit,
-                             const base::CancelToken& cancel = {});
-
-/// Same reachability, configured by `options` (limits, cancel, latency
-/// sink).
-StateGraph build_state_graph(const stg::MgStg& mg,
-                             const SgBuildOptions& options);
+                             const SgBuildOptions& options = {});
 
 /// State graph of the full STG: Petri-net reachability plus inferred codes.
 struct GlobalSg {
@@ -118,7 +109,8 @@ struct GlobalSg {
 /// Builds the global SG and infers a consistent binary code per state.
 /// Throws when the STG is inconsistent (no consistent value assignment
 /// exists) or when some signal never transitions.
-GlobalSg build_global_sg(const stg::Stg& stg, int state_limit = 1 << 20,
+GlobalSg build_global_sg(const stg::Stg& stg,
+                         int state_limit = kDefaultGlobalSgStateLimit,
                          const base::CancelToken& cancel = {});
 
 /// Signal values at the initial marking of `stg` (index = signal id).

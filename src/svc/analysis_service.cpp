@@ -211,9 +211,9 @@ AnalysisService::AnalysisService(ServiceOptions options)
   if (!options_.cache_dir.empty())
     disk_store_ = std::make_unique<DiskStore>(options_.cache_dir);
   register_metrics();
-  // Every SG build the flows run — SgCache misses and, through
-  // flow_options().sg_cache, the verify phase's direct builds — observes
-  // the build-latency histogram. Set before the cache is shared.
+  // The verify and derive phases get every local SG from sg_cache_
+  // (flow_options().sg_cache), and each miss build observes the
+  // build-latency histogram once. Set before the cache is shared.
   sg_cache_.set_build_seconds(sg_build_seconds_);
 }
 
@@ -407,9 +407,9 @@ std::shared_ptr<const std::string> AnalysisService::decompose_shared(
     cancel.poll("decompose phase");
     if (artifacts.circuit == nullptr)
       artifacts.circuit = core::synthesize_circuit(
-          *artifacts.stg, sg::build_global_sg(*artifacts.stg,
-                                              /*state_limit=*/1 << 20,
-                                              cancel));
+          *artifacts.stg,
+          sg::build_global_sg(*artifacts.stg, sg::kDefaultGlobalSgStateLimit,
+                              cancel));
     artifacts.decomposition = std::move(shared);
     artifacts.decompose_seconds = seconds_since(start);
     artifacts.completed = core::Phase::decomposed;

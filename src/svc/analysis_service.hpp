@@ -467,8 +467,8 @@ class AnalysisService {
   /// derive][source 0 = cold, 1 = upgrade]. parse never upgrades, so
   /// [0][1] stays null.
   base::MetricHistogram* phase_seconds_[4][2] = {};
-  /// Local state-graph build latency, wired into every SG build the flows
-  /// run (SgCache misses and the verify phase's direct builds).
+  /// Local state-graph build latency: sg_cache_ observes it once per miss
+  /// build, and every local SG the flows use comes through sg_cache_.
   base::MetricHistogram* sg_build_seconds_ = nullptr;
 };
 

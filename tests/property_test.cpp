@@ -244,8 +244,8 @@ TEST_P(PolicySweep, ConstraintsStayInsideLocalEnvironments) {
   const auto& bench = benchdata::benchmark(GetParam().benchmark);
   const stg::Stg stg = benchdata::load_stg(bench);
   const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
-  core::ExpandOptions options;
-  options.order = GetParam().policy;
+  core::FlowOptions options;
+  options.expand.order = GetParam().policy;
   const core::FlowResult result =
       core::derive_timing_constraints(stg, circuit, options);
   for (const auto& [constraint, weight] : result.after) {

@@ -815,6 +815,30 @@ TEST(FlowSharedSgCache, ExternalCacheCarriesHitsAcrossRuns) {
   EXPECT_EQ(shared.hits(), first.cache_hits + second.cache_hits);
 }
 
+/// The value of the sample `series` in a Prometheus exposition, or -1
+/// when absent.
+double sample(const std::string& text, const std::string& series) {
+  const auto at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1;
+  return std::stod(text.substr(at + series.size() + 2));
+}
+
+TEST(FlowSharedSgCache, EverySgBuildLatencyIsOneSgCacheMiss) {
+  // Verify-only runs: no verify build throws, so every miss completes its
+  // build and makes exactly one latency observation.
+  svc::AnalysisService service;
+  for (const auto& bench : benchdata::all_benchmarks()) {
+    const svc::AnalysisResponse response =
+        service.analyze(bench_request(bench.name, svc::RequestMode::verify));
+    ASSERT_TRUE(response.ok) << bench.name << ": " << response.error;
+  }
+  const std::string text = service.metrics().render_prometheus();
+  const double misses = sample(text, "sitime_sg_cache_misses_total");
+  EXPECT_GT(misses, 0);
+  EXPECT_EQ(sample(text, "sitime_sg_build_seconds_count"), misses);
+  EXPECT_EQ(service.stats().sg_cache_misses, misses);
+}
+
 // ---- cache provenance in reports -----------------------------------------
 
 TEST(FlowReportProvenance, ToJsonCarriesCacheProvenanceWhenPresent) {

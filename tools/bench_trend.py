@@ -15,8 +15,8 @@ two classes:
 
   - VOLATILE metrics — wall-clock timings, throughput, speedups, and
     machine/schedule-dependent gauges (hardware_concurrency, byte
-    footprints that vary with the standard library, peak_active_bodies,
-    hit/coalesced splits under concurrency). Timings are flagged as a
+    footprints that vary with the standard library, hit/coalesced splits
+    under concurrency). Timings are flagged as a
     regression when they worsen beyond --threshold percent (default 25):
     up for *seconds* metrics, DOWN for *speedup* ratios (a shrinking
     delta-path speedup means the warm path got slower relative to cold).
@@ -61,7 +61,6 @@ VOLATILE_MARKERS = (
     "speedup",
     "requests_per_sec",
     "hardware_concurrency",  # whatever machine CI hands us
-    "peak_active_bodies",    # scheduling high-water mark, noisy by design
     "bytes",                 # footprints vary with the stdlib (SSO, nodes)
     "hits",                  # concurrent hit/coalesced split is a race
     "coalesced",
