@@ -11,6 +11,9 @@
 // per-phase breakdown (decompose / expand / render seconds) for both
 // lanes. "Render" is what the service does per derive: freeze the result
 // into a FlowReport and render its canonical JSON, the only form it keeps.
+// Each lane also reports its Algorithm 1 projections per edit: the cold
+// lane projects every job of its fresh decomposition, the delta lane finds
+// every job's local STG in the shared decomposition's memo.
 //
 // The loop models a designer iterating on one gate of a finished design:
 // the STG is parsed once and stays fixed; each iteration re-parses the
@@ -27,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/metrics.hpp"
 #include "benchdata/benchmarks.hpp"
 #include "circuit/circuit.hpp"
 #include "core/flow.hpp"
@@ -81,6 +85,7 @@ struct PhaseBreakdown {
   double decompose_seconds = 0.0;  // global SG + MG decomposition
   double expand_seconds = 0.0;     // the (component × gate) job graph
   double render_seconds = 0.0;     // report assembly + canonical JSON
+  long long projections = 0;       // local STGs projected (memo misses)
 };
 
 struct DesignRow {
@@ -94,12 +99,15 @@ struct DesignRow {
   PhaseBreakdown delta;
 };
 
-void print_phases(const char* prefix, const PhaseBreakdown& phases) {
+void print_phases(const char* prefix, const PhaseBreakdown& phases,
+                  int edits) {
   std::printf("\"%s_decompose_seconds\": %.6f, "
               "\"%s_expand_seconds\": %.6f, "
-              "\"%s_render_seconds\": %.6f",
+              "\"%s_render_seconds\": %.6f, "
+              "\"%s_projections_per_edit\": %.2f",
               prefix, phases.decompose_seconds, prefix,
-              phases.expand_seconds, prefix, phases.render_seconds);
+              phases.expand_seconds, prefix, phases.render_seconds, prefix,
+              static_cast<double>(phases.projections) / edits);
 }
 
 }  // namespace
@@ -131,11 +139,14 @@ int main() {
                               const circuit::Circuit& edited,
                               sg::SgCache* sg_cache,
                               PhaseBreakdown& phases) {
+      base::MetricCounter projections;
       core::FlowOptions options;
       options.sg_cache = sg_cache;
+      options.local_stg_misses = &projections;
       const core::FlowResult result = core::derive_timing_constraints(
           decomposition, stg, edited, options);
       phases.expand_seconds += result.expand_seconds;
+      phases.projections += projections.value();
       const auto render_start = Clock::now();
       const core::FlowReport report =
           core::make_flow_report(bench.name, result, stg.signals);
@@ -224,9 +235,9 @@ int main() {
                                       : 0.0,
                 row.hit_rate);
     std::printf("     ");
-    print_phases("cold", row.cold);
+    print_phases("cold", row.cold, row.edits);
     std::printf(",\n     ");
-    print_phases("delta", row.delta);
+    print_phases("delta", row.delta, row.edits);
     std::printf("}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::printf("  ],\n");

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "base/error.hpp"
+#include "base/metrics.hpp"
 #include "core/local_stg.hpp"
 #include "core/report.hpp"
 #include "pn/hack.hpp"
@@ -85,7 +86,56 @@ FlowDecomposition decompose_flow(const stg::Stg& impl,
   return decomposition;
 }
 
+std::shared_ptr<const stg::MgStg> FlowDecomposition::local_stg_of(
+    int component, const circuit::Gate& gate, bool* hit) const {
+  LocalStgMemo::Key key{component, gate.fanins};
+  std::vector<int>& kept = key.second;
+  kept.push_back(gate.output);
+  std::sort(kept.begin(), kept.end());
+  {
+    std::lock_guard<std::mutex> lock(memo.mutex_);
+    const auto found = memo.slots_.find(key);
+    if (found != memo.slots_.end()) {
+      if (hit != nullptr) *hit = true;
+      return found->second;
+    }
+  }
+  if (hit != nullptr) *hit = false;
+  // Projected outside the lock, by the free function (the one place the
+  // flow projects, so a profiler wrapping it sees every projection).
+  auto local = std::make_shared<const stg::MgStg>(
+      core::local_stg(component_stgs[component], gate));
+  std::lock_guard<std::mutex> lock(memo.mutex_);
+  const auto found = memo.slots_.find(key);
+  if (found != memo.slots_.end()) return found->second;
+  if (memo.slots_.size() < jobs.size())
+    memo.slots_.emplace(std::move(key), local);
+  return local;
+}
+
+std::vector<MemoizedLocalStg> FlowDecomposition::memoized_local_stgs() const {
+  std::vector<MemoizedLocalStg> snapshot;
+  std::lock_guard<std::mutex> lock(memo.mutex_);
+  snapshot.reserve(memo.slots_.size());
+  for (const auto& [key, local] : memo.slots_)
+    snapshot.push_back({key.first, key.second, local});
+  return snapshot;
+}
+
 namespace {
+
+/// The memoized local STG of `job`, counted on the options' counters.
+std::shared_ptr<const stg::MgStg> job_local_stg(
+    const FlowDecomposition& decomposition, const FlowJob& job,
+    const circuit::Gate& gate, const FlowOptions& options) {
+  bool hit = false;
+  std::shared_ptr<const stg::MgStg> local =
+      decomposition.local_stg_of(job.component, gate, &hit);
+  base::MetricCounter* counter =
+      hit ? options.local_stg_hits : options.local_stg_misses;
+  if (counter != nullptr) counter->inc();
+  return local;
+}
 
 /// The dispatch skeleton under for_each_local_stg, minus the projection:
 /// verify drives it directly so a job past the first offender returns
@@ -128,16 +178,17 @@ void for_each_flow_job(const FlowDecomposition& decomposition,
 
 void for_each_local_stg(
     const FlowDecomposition& decomposition, const circuit::Circuit& circuit,
-    const std::function<bool(const FlowJob&, stg::MgStg)>& visit, int jobs,
-    base::ThreadPool* pool, const CancelToken& cancel) {
+    const std::function<bool(const FlowJob&, stg::MgStg)>& visit,
+    const FlowOptions& options) {
   for_each_flow_job(
       decomposition,
       [&](const FlowJob& job) {
-        return visit(job,
-                     local_stg(decomposition.component_stgs[job.component],
-                               circuit.gates()[job.gate]));
+        // A copy: the job relaxes its local STG in place.
+        return visit(job, stg::MgStg(*job_local_stg(
+                              decomposition, job, circuit.gates()[job.gate],
+                              options)));
       },
-      jobs, pool, cancel);
+      options.jobs, options.pool, options.cancel);
 }
 
 FlowResult derive_timing_constraints(const stg::Stg& impl,
@@ -205,6 +256,8 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
     int subtasks = 0;
   };
   std::vector<JobOutput> outputs(decomposition.jobs.size());
+  FlowOptions job_options = options;
+  job_options.jobs = result.jobs;
   const auto expand_start = std::chrono::steady_clock::now();
   for_each_local_stg(
       decomposition, circuit,
@@ -225,7 +278,7 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
         out.subtasks = expander.subtasks();
         return true;
       },
-      result.jobs, options.pool, options.cancel);
+      job_options);
   result.expand_seconds = seconds_since(expand_start);
 
   for (const JobOutput& out : outputs) {
@@ -267,11 +320,11 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
         if (job.index > first_bad.load(std::memory_order_relaxed))
           return true;  // cannot improve the answer
         const circuit::Gate& gate = circuit.gates()[job.gate];
-        const stg::MgStg local =
-            local_stg(decomposition.component_stgs[job.component], gate);
+        const std::shared_ptr<const stg::MgStg> local =
+            job_local_stg(decomposition, job, gate, options);
         const std::shared_ptr<const sg::StateGraph> graph =
-            cache.get_or_build(local, options.cancel);
-        if (timing_conformant(*graph, local, gate)) return true;
+            cache.get_or_build(*local, options.cancel);
+        if (timing_conformant(*graph, *local, gate)) return true;
         int current = first_bad.load(std::memory_order_relaxed);
         while (job.index < current &&
                !first_bad.compare_exchange_weak(current, job.index)) {

@@ -13,10 +13,17 @@
 // for_each_local_stg() dispatches them (serially or on a base::ThreadPool),
 // and derive_timing_constraints() merges the per-job constraint sets in job
 // order — the result is byte-identical for any worker count or schedule.
+//
+// A job's local STG depends only on its component and the gate's signal
+// set, so the decomposition memoizes it: the verify and derive phases, and
+// every netlist of one STG that shares the decomposition, project each job
+// once.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -90,6 +97,11 @@ struct FlowOptions {
   /// later uncancelled run yields the canonical answer. Also copied into
   /// expand.cancel (an explicitly set expand.cancel wins).
   CancelToken cancel;
+  /// When set, bumped once per job whose local STG the decomposition's
+  /// memo already held / had to project (FlowDecomposition::local_stg_of).
+  /// The service points them at its registry counters.
+  base::MetricCounter* local_stg_hits = nullptr;
+  base::MetricCounter* local_stg_misses = nullptr;
 };
 
 /// One (MG component × gate) unit of flow work.
@@ -97,6 +109,35 @@ struct FlowJob {
   int index = -1;      // stable merge position: component * gates + gate
   int component = -1;  // index into FlowDecomposition::component_stgs
   int gate = -1;       // index into Circuit::gates()
+};
+
+/// One memoized projection: the local STG, on MG component `component`,
+/// of every gate whose kept-signal set {output} ∪ fanins is `kept`
+/// (ascending signal ids).
+struct MemoizedLocalStg {
+  int component = -1;
+  std::vector<int> kept;
+  std::shared_ptr<const stg::MgStg> local;
+};
+
+/// The projection memo of one FlowDecomposition. A copy (or move) of a
+/// decomposition starts with an empty memo, and assigning one clears it:
+/// the memo belongs to the object whose component_stgs it projected.
+class LocalStgMemo {
+ public:
+  LocalStgMemo() = default;
+  LocalStgMemo(const LocalStgMemo&) {}
+  LocalStgMemo& operator=(const LocalStgMemo&) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_.clear();
+    return *this;
+  }
+
+ private:
+  friend struct FlowDecomposition;
+  using Key = std::pair<int, std::vector<int>>;  // (component, kept)
+  mutable std::mutex mutex_;
+  std::map<Key, std::shared_ptr<const stg::MgStg>> slots_;
 };
 
 /// The shared, read-only part of the flow every job starts from.
@@ -111,6 +152,21 @@ struct FlowDecomposition {
   /// it. May be null when the caller guarantees the source STG outlives
   /// every copy.
   std::shared_ptr<const stg::Stg> source;
+
+  /// local_stg(component_stgs[component], gate), memoized by (component,
+  /// {gate.output} ∪ gate.fanins) for the life of this decomposition.
+  /// Thread-safe: a miss projects outside the lock, and when two callers
+  /// race on one key the first result stored is the one both get. The
+  /// memo holds at most jobs.size() projections (one per job of any one
+  /// netlist); a miss past that bound is projected and not kept. `hit`,
+  /// when set, reports whether the memo already held the projection.
+  std::shared_ptr<const stg::MgStg> local_stg_of(
+      int component, const circuit::Gate& gate, bool* hit = nullptr) const;
+
+  /// A snapshot of the memo, in key order.
+  std::vector<MemoizedLocalStg> memoized_local_stgs() const;
+
+  mutable LocalStgMemo memo;
 };
 
 /// Builds the global SG, checks consistency, and enumerates the MG
@@ -128,22 +184,23 @@ FlowDecomposition decompose_flow(const stg::Stg& impl,
                                  const sg::GlobalSg& global);
 
 /// Calls visit(job, local_stg) for every job, handing each gate's local STG
-/// (Algorithm 1 projection) by value. Returning false from visit stops the
-/// iteration: serially nothing after that job runs; in parallel only jobs
-/// with a *higher* index than the stopping job may be skipped (every lower
-/// index still runs, so index-ordered answers stay schedule-independent).
-/// jobs <= 1 runs serially in stable job order on the calling thread;
-/// otherwise the jobs run on `pool` (null = the shared pool) with at most
-/// `jobs` of them in flight (0 = one per hardware thread, as in
-/// FlowOptions), and `visit` must be thread-safe.
+/// (Algorithm 1 projection, from FlowDecomposition::local_stg_of) by value.
+/// Returning false from visit stops the iteration: serially nothing after
+/// that job runs; in parallel only jobs with a *higher* index than the
+/// stopping job may be skipped (every lower index still runs, so
+/// index-ordered answers stay schedule-independent).
+/// Only `options.jobs`, `pool`, `cancel` and the local_stg counters
+/// participate. jobs == 1 runs serially in stable job order on the calling
+/// thread; otherwise the jobs run on `pool` (null = the shared pool) with
+/// at most `jobs` of them in flight (0 = one per hardware thread), and
+/// `visit` must be thread-safe.
 /// `cancel` is polled before every job dispatch (serial and parallel); a
 /// fired token unwinds with base::CancelledError instead of visiting the
 /// remaining jobs.
 void for_each_local_stg(
     const FlowDecomposition& decomposition, const circuit::Circuit& circuit,
     const std::function<bool(const FlowJob&, stg::MgStg)>& visit,
-    int jobs = 1, base::ThreadPool* pool = nullptr,
-    const CancelToken& cancel = {});
+    const FlowOptions& options = {});
 
 /// Runs the whole flow. Throws on malformed inputs (inconsistent STG,
 /// non-free-choice net, missing gates).
@@ -164,9 +221,9 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
 /// assumption (i.e. before any relaxation) every gate's local STG is timing
 /// conformant to the gate. Returns the name of the first offending gate (in
 /// stable job order, independent of `options.jobs`), or an empty string.
-/// The local SGs come from `options.sg_cache` (or a private per-run cache),
-/// exactly as in derive_timing_constraints; the expand options do not
-/// participate.
+/// The local STGs come from the decomposition's memo and the local SGs
+/// from `options.sg_cache` (or a private per-run cache), exactly as in
+/// derive_timing_constraints; the expand options do not participate.
 std::string verify_speed_independent(const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
                                      const FlowOptions& options = {});

@@ -94,8 +94,10 @@ void run_decompose_phase(PhaseArtifacts& artifacts,
 
 /// decomposed -> verified: the isochronic-fork timing-conformance check
 /// over the (component × gate) jobs. Only `options.jobs`, `options.pool`,
-/// `options.cancel` and the latency sink of `options.sg_cache` participate;
-/// the verdict is identical for every jobs value.
+/// `options.cancel`, `options.sg_cache` and the local_stg counters
+/// participate; the verdict is identical for every jobs value. The local
+/// STGs it projects stay memoized on the decomposition for the derive
+/// phase.
 void run_verify_phase(PhaseArtifacts& artifacts,
                       const FlowOptions& options = {});
 

@@ -185,9 +185,9 @@ struct AnalysisService::Entry {
                         2 * sizeof(void*) + sizeof(std::size_t);
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
-    // The full decomposition, even when other entries share it, plus the
-    // control block and deleter that share it. Entries loaded from the
-    // store hold none.
+    // The full decomposition, its memoized local STGs included, even when
+    // other entries share it, plus the control block and deleter that
+    // share it. Entries loaded from the store hold none.
     if (artifacts.decomposition != nullptr)
       total += sizeof(core::FlowDecomposition) + 2 * kControlBlockBytes +
                sizeof(LiveCount) + footprint(*artifacts.decomposition);
@@ -305,6 +305,13 @@ void AnalysisService::register_metrics() {
      [this] { return static_cast<double>(sg_cache_.misses()); });
   cb("sitime_sg_cache_entries", "Memoized state graphs resident.", "gauge",
      [this] { return static_cast<double>(sg_cache_.entries()); });
+  local_stg_hits_ = &metrics_.counter(
+      "sitime_local_stg_memo_hits_total",
+      "Verify and derive jobs whose local STG the decomposition had "
+      "already projected.");
+  local_stg_misses_ = &metrics_.counter(
+      "sitime_local_stg_memo_misses_total",
+      "Verify and derive jobs that projected their local STG (Algorithm 1).");
   decomp_hits_ = &metrics_.counter(
       "sitime_decomp_cache_hits_total",
       "Decompose phases served by a shared decomposition of the same STG "
@@ -372,6 +379,8 @@ core::FlowOptions AnalysisService::flow_options(
   options.pool = options_.pool;
   options.sg_cache = &sg_cache_;
   options.cancel = cancel;
+  options.local_stg_hits = local_stg_hits_;
+  options.local_stg_misses = local_stg_misses_;
   return options;
 }
 

@@ -458,6 +458,10 @@ class AnalysisService {
   base::MetricCounter* expand_subtasks_ = nullptr;
   /// Handed to every flow through core::ExpandOptions.
   base::MetricCounter* cancelled_subtasks_ = nullptr;
+  /// Handed to every flow through core::FlowOptions: jobs whose local STG
+  /// the shared decomposition's memo held / had to project.
+  base::MetricCounter* local_stg_hits_ = nullptr;
+  base::MetricCounter* local_stg_misses_ = nullptr;
   base::MetricCounter* disk_writes_ = nullptr;
   base::MetricCounter* disk_write_errors_ = nullptr;
   base::MetricCounter* disk_loads_ = nullptr;

@@ -8,8 +8,9 @@
 // accounting guessed flat per-element factors.
 //
 // The design cache charges each resident entry through this one model,
-// the shared decomposition it holds included in full, so the byte budget
-// stays an upper bound on what resident designs keep alive.
+// the shared decomposition it holds included in full (its memoized local
+// STGs too), so the byte budget stays an upper bound on what resident
+// designs keep alive.
 #pragma once
 
 #include <cstddef>
@@ -79,16 +80,28 @@ inline std::size_t footprint(const stg::MgStg& mg) {
   // arcs() exposes the real arc table; transitions and their alive flags
   // are charged one label plus one flag byte each.
   return sizeof(stg::MgStg) + slab_bytes(mg.arcs()) +
+         slab_bytes(mg.initial_values) +
          static_cast<std::size_t>(mg.transition_count()) *
              (sizeof(stg::TransitionLabel) + 1);
 }
 
+/// The decomposition with its memoized local STGs as they stand now. The
+/// memo only grows (to at most one projection per job), so an entry
+/// charged after its run pays for every projection that run made.
 inline std::size_t footprint(const core::FlowDecomposition& decomposition) {
   std::size_t total = slab_bytes(decomposition.initial_values) +
                       slab_bytes(decomposition.jobs) +
                       slab_bytes(decomposition.component_stgs);
   for (const stg::MgStg& mg : decomposition.component_stgs)
     total += footprint(mg) - sizeof(stg::MgStg);  // slab counted above
+  // One map node per memoized projection: the key's signal list, and the
+  // local STG in its make_shared block.
+  for (const core::MemoizedLocalStg& memoized :
+       decomposition.memoized_local_stgs())
+    total += kMapNodeBytes + sizeof(int) + sizeof(std::vector<int>) +
+             slab_bytes(memoized.kept) +
+             sizeof(std::shared_ptr<const stg::MgStg>) + kControlBlockBytes +
+             footprint(*memoized.local);
   return total;
 }
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "base/metrics.hpp"
 #include "base/thread_pool.hpp"
 #include "benchdata/benchmarks.hpp"
 #include "core/flow.hpp"
@@ -20,6 +22,122 @@ namespace sitime {
 namespace {
 
 class ParallelFlow : public ::testing::TestWithParam<std::string> {};
+
+/// Every observable part of two MgStgs agrees: transitions (labels and
+/// alive flags), arcs (endpoints, tokens and kinds, in table order) and
+/// initial values.
+void expect_same_mg(const stg::MgStg& a, const stg::MgStg& b,
+                    const std::string& where) {
+  ASSERT_EQ(a.transition_count(), b.transition_count()) << where;
+  for (int t = 0; t < a.transition_count(); ++t) {
+    EXPECT_EQ(a.label(t), b.label(t)) << where << " transition " << t;
+    EXPECT_EQ(a.alive(t), b.alive(t)) << where << " transition " << t;
+  }
+  EXPECT_EQ(a.arcs(), b.arcs()) << where;
+  EXPECT_EQ(a.initial_values, b.initial_values) << where;
+}
+
+/// The canonical report body of a derive result.
+std::string canonical(const core::FlowResult& result,
+                      const stg::SignalTable& signals) {
+  return core::to_canonical_json(core::make_flow_report("", result, signals));
+}
+
+/// `circuit`'s netlist with the first cube of its first gate written twice:
+/// the same functions, and so the same kept-signal sets, in a new text.
+circuit::Circuit duplicate_first_cube(const circuit::Circuit& circuit,
+                                      const stg::Stg& stg) {
+  std::string eqn = circuit.to_eqn();
+  const auto rhs = eqn.find(" = ") + 3;
+  auto end = eqn.find(" + ", rhs);
+  const auto semi = eqn.find(';', rhs);
+  if (end == std::string::npos || semi < end) end = semi;
+  eqn.insert(rhs, eqn.substr(rhs, end - rhs) + " + ");
+  circuit::Circuit edited = circuit::Circuit::from_equations(&stg.signals, eqn);
+  EXPECT_NE(edited.to_eqn(), circuit.to_eqn());
+  return edited;
+}
+
+TEST_P(ParallelFlow, MemoizedLocalStgsEqualFreshProjections) {
+  const auto& bench = benchdata::benchmark(GetParam());
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+  ASSERT_EQ(core::verify_speed_independent(decomposition, circuit), "");
+
+  // Verify projected every job once; each lookup now hits and hands out
+  // the projection a fresh local_stg computes.
+  const std::vector<core::MemoizedLocalStg> memo =
+      decomposition.memoized_local_stgs();
+  EXPECT_GT(memo.size(), 0u);
+  EXPECT_LE(memo.size(), decomposition.jobs.size());
+  for (const core::FlowJob& job : decomposition.jobs) {
+    const circuit::Gate& gate = circuit.gates()[job.gate];
+    bool hit = false;
+    const auto local = decomposition.local_stg_of(job.component, gate, &hit);
+    EXPECT_TRUE(hit) << bench.name << " job " << job.index;
+    expect_same_mg(*local,
+                   core::local_stg(
+                       decomposition.component_stgs[job.component], gate),
+                   bench.name + " job " + std::to_string(job.index));
+  }
+  // Every entry is keyed by what it projects onto: rebuilding a gate from
+  // its kept-signal set reproduces it.
+  for (const core::MemoizedLocalStg& memoized : memo) {
+    circuit::Gate gate;
+    gate.output = memoized.kept.front();
+    gate.fanins.assign(memoized.kept.begin() + 1, memoized.kept.end());
+    expect_same_mg(
+        *memoized.local,
+        core::local_stg(decomposition.component_stgs[memoized.component],
+                        gate),
+        bench.name + " component " + std::to_string(memoized.component));
+  }
+  EXPECT_EQ(decomposition.memoized_local_stgs().size(), memo.size());
+}
+
+TEST_P(ParallelFlow, ReportsAreByteIdenticalWhateverFilledTheMemo) {
+  const auto& bench = benchdata::benchmark(GetParam());
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const std::string reference =
+      canonical(core::derive_timing_constraints(stg, circuit), stg.signals);
+
+  base::ThreadPool pool(4);
+  for (const int jobs : {1, 4}) {
+    const core::FlowOptions options{.jobs = jobs, .pool = &pool};
+    // Derive on an empty memo.
+    const core::FlowDecomposition derive_only =
+        core::decompose_flow(stg, circuit);
+    EXPECT_EQ(canonical(core::derive_timing_constraints(derive_only, stg,
+                                                        circuit, options),
+                        stg.signals),
+              reference)
+        << bench.name << " derive-only, jobs " << jobs;
+    // Verify fills the memo, derive reads it.
+    const core::FlowDecomposition upgraded =
+        core::decompose_flow(stg, circuit);
+    EXPECT_EQ(core::verify_speed_independent(upgraded, circuit, options), "");
+    const std::size_t projected = upgraded.memoized_local_stgs().size();
+    EXPECT_EQ(canonical(core::derive_timing_constraints(upgraded, stg,
+                                                        circuit, options),
+                        stg.signals),
+              reference)
+        << bench.name << " verify then derive, jobs " << jobs;
+    // An edited netlist of the same STG shares the decomposition and
+    // reads its projections: nothing new is projected, and the report is
+    // the edited design's cold report.
+    const circuit::Circuit edited = duplicate_first_cube(circuit, stg);
+    EXPECT_EQ(canonical(core::derive_timing_constraints(upgraded, stg, edited,
+                                                        options),
+                        stg.signals),
+              canonical(core::derive_timing_constraints(stg, edited),
+                        stg.signals))
+        << bench.name << " edited, jobs " << jobs;
+    EXPECT_EQ(upgraded.memoized_local_stgs().size(), projected) << bench.name;
+  }
+}
 
 TEST_P(ParallelFlow, ConstraintSetsAreIdenticalForAnyJobCount) {
   const auto& bench = benchdata::benchmark(GetParam());
@@ -230,6 +348,86 @@ TEST(ForEachLocalStg, SerialEarlyStopVisitsPrefixOnly) {
                              return job.index < 3;
                            });
   EXPECT_EQ(visits, 4);  // jobs 0..3; job 3 returned false
+}
+
+TEST(LocalStgMemo, ThreadsSharingOneDecompositionAgree) {
+  // One decomposition, as the service shares it among the designs of one
+  // STG: every thread verifies then derives on it at once, on a shared
+  // pool and SgCache, and gets the serial answer.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const std::string reference =
+      canonical(core::derive_timing_constraints(stg, circuit), stg.signals);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+
+  constexpr int kThreads = 4;
+  base::ThreadPool pool(2);
+  sg::SgCache cache;
+  base::MetricCounter hits;
+  base::MetricCounter misses;
+  std::vector<std::string> verdicts(kThreads);
+  std::vector<std::string> reports(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      const core::FlowOptions options{.jobs = 1 + i % 2,
+                                      .pool = &pool,
+                                      .sg_cache = &cache,
+                                      .local_stg_hits = &hits,
+                                      .local_stg_misses = &misses};
+      verdicts[i] =
+          core::verify_speed_independent(decomposition, circuit, options);
+      reports[i] = canonical(core::derive_timing_constraints(
+                                 decomposition, stg, circuit, options),
+                             stg.signals);
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(verdicts[i], "") << "thread " << i;
+    EXPECT_EQ(reports[i], reference) << "thread " << i;
+  }
+  // One lookup per job per phase per thread; racing misses may project a
+  // key twice, but the memo keeps one projection per key.
+  const long long jobs = static_cast<long long>(decomposition.jobs.size());
+  EXPECT_EQ(hits.value() + misses.value(), 2 * kThreads * jobs);
+  const long long keys =
+      static_cast<long long>(decomposition.memoized_local_stgs().size());
+  EXPECT_LE(keys, jobs);
+  EXPECT_GE(misses.value(), keys);
+  EXPECT_LE(misses.value(), kThreads * keys);
+}
+
+TEST(LocalStgMemo, HoldsAtMostOneProjectionPerJob) {
+  // Netlists that read other signals key new projections; once the memo
+  // holds one per job, further misses are projected and not kept.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+  const int signals = stg.signals.count();
+  for (int output = 0; output < signals; ++output)
+    for (int fanin = 0; fanin < signals; ++fanin) {
+      circuit::Gate gate;
+      gate.output = output;
+      if (fanin != output) gate.fanins = {fanin};
+      for (int c = 0; c < static_cast<int>(
+                              decomposition.component_stgs.size());
+           ++c) {
+        const auto local = decomposition.local_stg_of(c, gate);
+        expect_same_mg(*local,
+                       core::local_stg(decomposition.component_stgs[c], gate),
+                       "component " + std::to_string(c));
+      }
+    }
+  EXPECT_EQ(decomposition.memoized_local_stgs().size(),
+            decomposition.jobs.size());
+  // A copy starts with an empty memo of its own.
+  const core::FlowDecomposition copy = decomposition;
+  EXPECT_TRUE(copy.memoized_local_stgs().empty());
 }
 
 TEST(FlowReport, TextAndJsonCarryTheThesisLists) {

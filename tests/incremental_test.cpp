@@ -558,8 +558,8 @@ TEST(IncrementalService, TightBudgetEditSessionPinsTheDesignTiersCounters) {
   EXPECT_EQ(stats.hits, 4);
   EXPECT_EQ(stats.misses, 14);
   EXPECT_EQ(stats.upgrades, 3);
-  EXPECT_EQ(stats.evictions, 10);
-  EXPECT_EQ(stats.entries, 4);
+  EXPECT_EQ(stats.evictions, 9);
+  EXPECT_EQ(stats.entries, 5);
 
   EXPECT_EQ(stats.decomp_hits, 9);
   EXPECT_EQ(stats.decomp_misses, 5);

@@ -20,6 +20,7 @@
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "svc/analysis_service.hpp"
+#include "svc/footprint.hpp"
 #include "svc/json.hpp"
 
 namespace sitime {
@@ -837,6 +838,67 @@ TEST(FlowSharedSgCache, EverySgBuildLatencyIsOneSgCacheMiss) {
   EXPECT_GT(misses, 0);
   EXPECT_EQ(sample(text, "sitime_sg_build_seconds_count"), misses);
   EXPECT_EQ(service.stats().sg_cache_misses, misses);
+}
+
+TEST(LocalStgMemoService, VerifyProjectsEachJobOnceAndChargesTheMemo) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+  const std::size_t bare = svc::footprint(decomposition);
+  ASSERT_EQ(core::verify_speed_independent(decomposition, circuit), "");
+  const std::size_t with_memo = svc::footprint(decomposition);
+  EXPECT_GT(with_memo, bare);
+  const double jobs = static_cast<double>(decomposition.jobs.size());
+
+  svc::AnalysisService service;
+  ASSERT_TRUE(service
+                  .analyze(bench_request(bench.name, svc::RequestMode::verify))
+                  .ok);
+  std::string text = service.metrics().render_prometheus();
+  EXPECT_EQ(sample(text, "sitime_local_stg_memo_misses_total"), jobs);
+  EXPECT_EQ(sample(text, "sitime_local_stg_memo_hits_total"), 0);
+  // The verified entry pays for the decomposition with its memo, on top
+  // of the STG and netlist it holds.
+  EXPECT_GE(service.stats().bytes, sizeof(core::FlowDecomposition) +
+                                       with_memo + svc::footprint(stg) +
+                                       svc::footprint(circuit));
+
+  // The derive upgrade projects nothing.
+  ASSERT_TRUE(service.analyze(bench_request(bench.name)).ok);
+  text = service.metrics().render_prometheus();
+  EXPECT_EQ(sample(text, "sitime_local_stg_memo_misses_total"), jobs);
+  EXPECT_EQ(sample(text, "sitime_local_stg_memo_hits_total"), jobs);
+}
+
+TEST(LocalStgMemoService, ResidentBytesStayUnderATightBudget) {
+  // Calibrate on an unlimited budget, then rerun the traffic (verify then
+  // derive of every bundled design, then its netlist-free form, which
+  // shares the decomposition) under a third of what it left resident: the
+  // charge, memo included, never exceeds the budget.
+  std::vector<svc::AnalysisRequest> traffic;
+  for (const auto& bench : benchdata::all_benchmarks()) {
+    traffic.push_back(bench_request(bench.name, svc::RequestMode::verify));
+    traffic.push_back(bench_request(bench.name));
+    svc::AnalysisRequest edited = bench_request(bench.name);
+    edited.eqn.clear();
+    traffic.push_back(edited);
+  }
+  svc::AnalysisService wide;
+  for (const svc::AnalysisRequest& request : traffic)
+    ASSERT_TRUE(wide.analyze(request).ok) << request.name;
+  ASSERT_EQ(wide.stats().evictions, 0);
+
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = wide.stats().bytes / 3;
+  svc::AnalysisService tight(options);
+  for (const svc::AnalysisRequest& request : traffic) {
+    ASSERT_TRUE(tight.analyze(request).ok) << request.name;
+    const svc::CacheStats stats = tight.stats();
+    EXPECT_LE(stats.bytes, stats.budget_bytes) << request.name;
+  }
+  EXPECT_GT(tight.stats().evictions, 0);
 }
 
 // ---- cache provenance in reports -----------------------------------------

@@ -16,6 +16,9 @@ a traced request, a warm repeat pass, and a {"metrics": true} /
     counts, non-zero queue-wait observations, and design-cache
     hit/miss counters that agree exactly with the {"stats": true}
     snapshot taken next to the scrape;
+  - every cold derive projected each job at most once: its verify
+    filled the local-STG memo and its derive only read it, and the warm
+    pass projected nothing;
   - the traced request returns spans naming every phase run, fitting
     inside the total handling time;
   - --slow-ms 1 logged at least one span breakdown to stderr;
@@ -243,6 +246,24 @@ def main():
     sg_builds = counter_value(scrape2, "sitime_sg_build_seconds_count")
     assert sg_builds > 0, "no sg build observations"
 
+    # The local-STG memo: each cold design's verify projected every job
+    # whose gate signals it had not seen yet (misses; gates with equal
+    # signal sets share a projection, so the rest hit) and its derive read
+    # every projection back (hits); the warm pass runs no phase, so
+    # neither counter moves between the scrapes.
+    memo = {}
+    for outcome in ("hits", "misses"):
+        family = f"sitime_local_stg_memo_{outcome}_total"
+        assert typed2.get(family) == "counter", (family, typed2.get(family))
+        memo[outcome] = counter_value(scrape2, family)
+        assert memo[outcome] == counter_value(scrape1, family), (
+            family,
+            counter_value(scrape1, family),
+            memo[outcome],
+        )
+    assert memo["misses"] > 0, memo
+    assert memo["hits"] >= memo["misses"], memo
+
     check_spans(by_id["t"])
 
     # Cold flow runs take ≥ 1 ms, so --slow-ms 1 must have logged some.
@@ -256,6 +277,9 @@ def main():
     assert "sitime_phase_seconds" in typed_catalog, typed_catalog
     assert "sitime_sg_build_seconds" in typed_catalog, typed_catalog
     assert "sitime_decomp_cache_hits_total" in typed_catalog, typed_catalog
+    assert "sitime_local_stg_memo_misses_total" in typed_catalog, (
+        typed_catalog
+    )
     assert "sitime_disk_store_loads_total" in typed_catalog, typed_catalog
 
     print(
