@@ -7,8 +7,8 @@
 //   - cold:  a fresh service with no store; every request runs the full
 //            flow (parse + decompose + verify + derive + render).
 //   - spill: a fresh service WITH a store; same cold work, plus the
-//            crash-safe spill of every terminal entry — the write-side
-//            overhead a serving process pays for durability.
+//            spill of every terminal entry (temp file + rename, no
+//            fsync) — the write-side overhead of the warm store.
 //   - warm:  a brand-new service booted over the spilled store;
 //            warm_from_disk() decodes and re-validates every file, and
 //            every request is then a pure cache hit.
@@ -127,7 +127,7 @@ int main() {
 
   // Cold: no store anywhere — the restart baseline without --cache-dir.
   const Lane cold = run_lane("");
-  // Spill: cold work + durable writes; populates the store on disk.
+  // Spill: cold work + store writes; populates the store on disk.
   const Lane spill = run_lane(cache_dir);
   std::uintmax_t store_bytes = 0;
   int store_files = 0;

@@ -66,10 +66,14 @@ struct LiveCount {
 
 }  // namespace
 
-/// The parsed design plus its canonical identity, built once per request.
-/// Keying is deliberately cheap: it never synthesizes — a design without an
-/// explicit netlist is keyed by its canonical STG plus a "synthesized"
-/// marker, because the synthesized circuit is a pure function of the STG.
+/// The parsed design plus its canonical identity, built for every request
+/// the exact-bytes index does not match (a first sight of these bytes, a
+/// byte-variant of a resident design, a store-loaded design, or a cache
+/// budget of 0). The creator of a new entry donates the parsed STG and
+/// circuit to it; otherwise only the key is used and the rest is dropped.
+/// Keying never synthesizes: a design without an explicit netlist is keyed
+/// by its canonical STG plus a "synthesized" marker, because the
+/// synthesized circuit is a pure function of the STG.
 struct AnalysisService::Parsed {
   std::unique_ptr<stg::Stg> stg;  // heap: Circuit/MgStg point into it
   std::unique_ptr<circuit::Circuit> circuit;  // null until synthesized
@@ -81,10 +85,11 @@ struct AnalysisService::Parsed {
   std::string stg_canonical;
 };
 
+/// The canonical path: parses the STG and netlist (computing every gate's
+/// down-cover) and renders them back out as the cache key. analyze() polls
+/// FaultPoint::parse before calling it, on both paths.
 AnalysisService::Parsed AnalysisService::parse_request(
     const AnalysisRequest& request, const core::ExpandOptions& expand) {
-  if (base::fault_fires(base::FaultPoint::parse))
-    base::injected_failure(base::FaultPoint::parse);
   Parsed parsed;
   parsed.stg = std::make_unique<stg::Stg>(stg::parse_astg(request.astg));
   if (!request.eqn.empty())
@@ -117,6 +122,20 @@ AnalysisService::Parsed AnalysisService::parse_request(
   return parsed;
 }
 
+std::string AnalysisService::exact_key(const AnalysisRequest& request) {
+  // The length prefix ends where the STG text starts, so ("ab", "c") and
+  // ("a", "bc") cannot alias; the expand options are the service's own
+  // and need no place in the key.
+  const std::string length = std::to_string(request.astg.size());
+  std::string key;
+  key.reserve(length.size() + 1 + request.astg.size() + request.eqn.size());
+  key += length;
+  key += ':';
+  key += request.astg;
+  key += request.eqn;
+  return key;
+}
+
 /// One resident design: the staged PhaseArtifacts plus the report and its
 /// wire form, advanced in place by lazy phase upgrades.
 ///
@@ -143,6 +162,11 @@ struct AnalysisService::Entry {
   /// The request carried a netlist (vs. synthesizing from the STG). Only
   /// persisted (PersistedArtifact::explicit_netlist). Immutable.
   bool explicit_netlist = false;
+  /// Bytes of the exact-bytes index slot the creator registered (0 for
+  /// none): the index holds the only copy of the request text. Set under
+  /// AnalysisService::mutex_ before another thread can reach the entry;
+  /// immutable.
+  std::size_t exact_bytes = 0;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -182,7 +206,8 @@ struct AnalysisService::Entry {
     std::size_t total = sizeof(Entry) + 2 * heap_bytes(canonical) +
                         heap_bytes(key_hex) + heap_bytes(stg_canonical) +
                         2 * kHashNodeBytes + sizeof(std::shared_ptr<Entry>) +
-                        2 * sizeof(void*) + sizeof(std::size_t);
+                        2 * sizeof(void*) + sizeof(std::size_t) +
+                        exact_bytes;
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
     // The full decomposition, its memoized local STGs included, even when
@@ -238,6 +263,10 @@ void AnalysisService::register_metrics() {
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"upgrade\"");
   coalesced_ =
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"coalesced\"");
+  exact_hits_ = &metrics_.counter(
+      "sitime_exact_request_hits_total",
+      "Requests matched to a resident or in-flight design by their exact "
+      "bytes; no parse.");
   cb("sitime_design_cache_evictions_total",
      "Design-cache entries dropped by the byte budget.", "counter",
      [this] { return static_cast<double>(designs_.stats().evictions); });
@@ -460,6 +489,44 @@ AnalysisService::publish_decomposition(
       decomposition, LiveCount{&live_decompositions_, std::move(built)});
   decompositions_.insert_or_assign(stg_canonical, shared);
   return shared;
+}
+
+std::shared_ptr<AnalysisService::Entry> AnalysisService::find_exact(
+    const std::string& exact) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto slot = exact_.find(exact);
+  if (slot == exact_.end()) return nullptr;
+  std::shared_ptr<Entry> entry = slot->second.lock();
+  if (entry == nullptr) return nullptr;
+  // Serve only the entry the canonical path would find now: an evicted
+  // entry that a request still holds, or one a newer entry of the same
+  // design replaced, sends the request down the canonical path. The
+  // lookup refreshes LRU order exactly as the canonical path's does.
+  const std::shared_ptr<Entry> resident = designs_.lookup(entry->canonical);
+  if (resident != nullptr) {
+    if (resident != entry) return nullptr;
+  } else {
+    const auto in_flight = inflight_.find(entry->canonical);
+    if (in_flight == inflight_.end() || in_flight->second != entry)
+      return nullptr;
+  }
+  exact_hits_->inc();
+  return entry;
+}
+
+void AnalysisService::register_exact_locked(
+    std::string exact, const std::shared_ptr<Entry>& entry) {
+  // Amortized, as publish_decomposition prunes: an entry dies soon after
+  // it leaves designs_ and inflight_, so after a prune about that many
+  // slots remain and at least as many inserts pass before the next one.
+  const std::size_t live =
+      static_cast<std::size_t>(designs_.stats().entries) + inflight_.size();
+  if (!exact_.contains(exact) && exact_.size() >= 2 * live)
+    std::erase_if(exact_,
+                  [](const auto& slot) { return slot.second.expired(); });
+  const auto slot = exact_.insert_or_assign(std::move(exact), entry).first;
+  entry->exact_bytes = sizeof(std::string) + heap_bytes(slot->first) +
+                       sizeof(std::weak_ptr<Entry>) + kHashNodeBytes;
 }
 
 bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
@@ -743,16 +810,28 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     return response;
   }
 
+  // The parse stage: the exact-bytes index, else the canonical path. Both
+  // poll the parse fault and observe the parse histogram and span, so
+  // fault schedules, spans and stats do not depend on which one answered.
+  const bool caching = options_.cache_budget_bytes > 0;
+  std::string exact;  // the index key; built only when caching
+  std::shared_ptr<Entry> entry;
   Parsed parsed;
   try {
     const double parse_begin = seconds_since(start);
-    parsed = parse_request(request, options_.expand);
-    response.key = parsed.key_hex;
+    if (base::fault_fires(base::FaultPoint::parse))
+      base::injected_failure(base::FaultPoint::parse);
+    if (caching) {
+      exact = exact_key(request);
+      entry = find_exact(exact);
+    }
+    if (entry == nullptr) parsed = parse_request(request, options_.expand);
+    response.key = entry != nullptr ? entry->key_hex : parsed.key_hex;
     const double parse_seconds = seconds_since(start) - parse_begin;
     phase_seconds_[0][0]->observe(parse_seconds);
     if (request.trace_spans)
-      response.spans.push_back(
-          {"parse", parse_begin, parse_seconds, "cold", ""});
+      response.spans.push_back({"parse", parse_begin, parse_seconds,
+                                entry != nullptr ? "exact" : "cold", ""});
   } catch (const std::exception& error) {
     // Injected parse faults are infrastructure failures, not malformed
     // designs; everything else parse_request throws is bad input.
@@ -768,9 +847,9 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
                                  : core::Phase::derived;
 
   // Find or create the ONE entry for this design — resident, in flight,
-  // or brand new (the creator donates its parsed design to the entry).
-  std::shared_ptr<Entry> entry;
-  {
+  // or brand new (the creator donates its parsed design to the entry and
+  // registers its request bytes in the exact-bytes index).
+  if (entry == nullptr) {
     std::lock_guard<std::mutex> lock(mutex_);
     entry = designs_.lookup(parsed.canonical);
     if (entry == nullptr) {
@@ -786,6 +865,7 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
         entry->canonical = std::move(parsed.canonical);
         entry->stg_canonical = std::move(parsed.stg_canonical);
         inflight_.emplace(entry->canonical, entry);
+        if (caching) register_exact_locked(std::move(exact), entry);
       }
     }
   }
@@ -885,8 +965,9 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     const bool cold = from == core::Phase::parsed;
     record_run_metrics(run, cold);
     // Persist BEFORE the response returns: a client that saw this answer
-    // may kill the server immediately (the restart-survival contract)
-    // and must still find the artifact durable on disk.
+    // may kill the server immediately and must still find the entry in
+    // the store (the write reaches the page cache, which outlives the
+    // process; after a power loss the entry may be recomputed).
     if (ok) maybe_spill(entry);
     if (request.trace_spans)
       append_run_spans(run, cold, run_begin, response.spans);
@@ -1028,6 +1109,11 @@ int AnalysisService::warm_from_disk() {
 std::size_t AnalysisService::decomposition_slots() const {
   std::lock_guard<std::mutex> lock(decompositions_mutex_);
   return decompositions_.size();
+}
+
+std::size_t AnalysisService::exact_slots() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return exact_.size();
 }
 
 CacheStats AnalysisService::stats() const {

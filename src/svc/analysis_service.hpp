@@ -33,6 +33,12 @@
 //     svc/footprint.hpp), including the full decomposition it holds even
 //     when another entry shares it, so the budget bounds resident memory
 //     from above.
+//   - an exact-bytes index in front of the canonical key: a request whose
+//     raw bytes equal those of the request that created a resident or
+//     in-flight entry goes straight to that entry, skipping the parse, the
+//     netlist build and the canonical rendering. Requests that differ in
+//     any byte (whitespace, comments) take the canonical path and still
+//     find the same entry.
 //   - single-flight deduplication per (entry, phase): N concurrent
 //     requests for the same design run each missing phase ONCE; a
 //     concurrent verify and derive share the parse + decompose work, with
@@ -95,10 +101,11 @@ struct TraceSpan {
   double start = 0.0;
   double seconds = 0.0;
   /// Cache provenance or per-span context: "cold" / "upgrade" on phase
-  /// spans, "cache=decomp" on a decompose span served by a shared
-  /// decomposition (the phase appears in phases_run but only a
-  /// netlist-free entry builds the global SG, to synthesize its circuit),
-  /// "hit" on the cache span, "jobs=4 steps=123
+  /// spans, "exact" on a parse span whose request the exact-bytes index
+  /// matched (nothing was parsed), "cache=decomp" on a decompose span
+  /// served by a shared decomposition (the phase appears in phases_run
+  /// but only a netlist-free entry builds the global SG, to synthesize
+  /// its circuit), "hit" on the cache span, "jobs=4 steps=123
   /// subtasks=5" on the expand aggregate.
   std::string detail;
   /// Name of the enclosing span ("" = top level): the per-job expansion
@@ -304,6 +311,11 @@ class AnalysisService {
   /// (inserts prune them once they could outnumber the live ones).
   std::size_t decomposition_slots() const;
 
+  /// Slots in the exact-bytes index, expired ones included (inserts prune
+  /// them once they could outnumber the resident and in-flight entries).
+  /// Always 0 with a cache budget of 0.
+  std::size_t exact_slots() const;
+
   const ServiceOptions& options() const { return options_; }
 
   /// The service-wide metric registry: the single source of truth every
@@ -349,6 +361,18 @@ class AnalysisService {
 
   static Parsed parse_request(const AnalysisRequest& request,
                               const core::ExpandOptions& expand);
+  /// The exact-bytes index key of `request`: its STG text length-prefixed,
+  /// then its netlist text, so no two (astg, eqn) pairs share a key.
+  static std::string exact_key(const AnalysisRequest& request);
+  /// The entry `exact` was registered by, if the canonical path would find
+  /// that same entry now (resident, or in flight); else null. Counts an
+  /// exact hit. Takes mutex_.
+  std::shared_ptr<Entry> find_exact(const std::string& exact);
+  /// Registers the bytes of the request that created `entry`, charging the
+  /// index's copy to the entry. Prunes expired slots first once they could
+  /// outnumber the resident and in-flight entries. Called under mutex_.
+  void register_exact_locked(std::string exact,
+                             const std::shared_ptr<Entry>& entry);
   /// Shares `report` together with its canonical JSON — the one way the
   /// derive phase and the store load both make the wire form.
   static ReportForms report_forms(core::FlowReport report);
@@ -402,10 +426,11 @@ class AnalysisService {
   void register_metrics();
   /// Spills `entry` to the persistent store if it is terminal (satisfies
   /// every request mode), idle, and not yet spilled. Called by the
-  /// single-flight runner after finish_run, BEFORE its response returns,
-  /// so a client that saw the answer can kill the server and still find
-  /// the artifact durable. Best-effort: counts the write or the write
-  /// error and changes nothing else. No-op without a store.
+  /// single-flight runner after finish_run, BEFORE its response returns:
+  /// a response you have read implies the entry survives a process crash;
+  /// after a power loss an entry may be recomputed. Best-effort: counts
+  /// the write or the write error and changes nothing else. No-op without
+  /// a store.
   void maybe_spill(const std::shared_ptr<Entry>& entry);
   void respond_from_locked(const Entry& entry, RequestMode mode,
                            const char* cache_state,
@@ -431,11 +456,15 @@ class AnalysisService {
   /// stall the serving path.
   std::unique_ptr<DiskStore> disk_store_;
 
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   /// Entries being built that are not (yet) resident: the rendezvous for
   /// single-flight on brand-new designs. Removed when their runner
   /// finishes (moved into the design tier on success when it admits them).
   std::unordered_map<std::string, std::shared_ptr<Entry>> inflight_;
+  /// The exact-bytes index (exact_key -> the entry those bytes created),
+  /// not owning. A slot serves only while its entry is the one designs_ or
+  /// inflight_ holds under its canonical key. Untouched with a budget of 0.
+  std::unordered_map<std::string, std::weak_ptr<Entry>> exact_;
 
   // The metric registry and the registry-owned counters every stat reads
   // through (lock-free inc on the hot paths; {"stats": true} is the alias
@@ -447,6 +476,7 @@ class AnalysisService {
   base::MetricCounter* misses_ = nullptr;
   base::MetricCounter* upgrades_ = nullptr;
   base::MetricCounter* coalesced_ = nullptr;
+  base::MetricCounter* exact_hits_ = nullptr;
   base::MetricCounter* failures_ = nullptr;
   base::MetricCounter* deadline_exceeded_ = nullptr;
   base::MetricCounter* decompose_runs_ = nullptr;

@@ -27,16 +27,6 @@ bool has_suffix(const std::string& name, const char* suffix) {
          name.compare(name.size() - n, n, suffix) == 0;
 }
 
-/// fsync the directory itself so a just-renamed entry survives a crash;
-/// best-effort (some filesystems refuse directory fsync — the rename is
-/// still atomic, just not yet journaled).
-void sync_directory(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
 }  // namespace
 
 DiskStore::DiskStore(std::string dir) : dir_(std::move(dir)) {
@@ -106,13 +96,14 @@ bool DiskStore::save(const std::string& key_hex, const std::string& bytes) {
     }
     written += static_cast<std::size_t>(n);
   }
-  if (io_ok && ::fsync(fd) != 0) io_ok = false;
-  ::close(fd);
+  // No fsync: the store is a cache. The written pages outlive the
+  // process; a power loss can at worst leave a file the load path rejects
+  // and the design is recomputed.
+  if (::close(fd) != 0) io_ok = false;
   if (!io_ok || ::rename(temp_path.c_str(), final_path.c_str()) != 0) {
     ::unlink(temp_path.c_str());
     return false;
   }
-  sync_directory(dir_);
   return true;
 }
 

@@ -9,13 +9,18 @@
 //   <key_hex>.tmp   an in-progress write that never reached its atomic
 //                   rename (a crash mid-write); swept at construction
 //
-// Durability contract: save() writes to the temp name, fsyncs the file,
-// renames it over the final name, then fsyncs the directory — so a
-// reader never observes a half-written .sit file and a crash at ANY
-// instant leaves the store servable (either the old bytes, the new
-// bytes, or a .tmp the next boot sweeps). Everything is best-effort and
-// non-throwing: an I/O failure is a false return, never an exception
-// into the serving path.
+// Durability contract: the store is a cache. A response you have read
+// implies the entry survives a process crash; after a power loss an
+// entry may be recomputed. save() writes to the temp name and renames it
+// over the final name without fsync, so a reader never observes a
+// half-written .sit file and a process crash at ANY instant leaves the
+// store servable (either the old bytes, the new bytes, or a .tmp the
+// next boot sweeps): the written pages belong to the kernel, not the
+// process. A power loss before writeback can leave an empty or torn
+// file; the load path validates every file and deletes what it cannot
+// prove whole, so that costs warmth, never correctness. Everything is
+// best-effort and non-throwing: an I/O failure is a false return, never
+// an exception into the serving path.
 //
 // The store is a dumb byte mover by design — it never decodes what it
 // carries and counts nothing. Validation (format version, payload hash,
@@ -48,9 +53,10 @@ class DiskStore {
   /// Final path of a key's store file (`<dir>/<key_hex>.sit`).
   std::string path_for(const std::string& key_hex) const;
 
-  /// Crash-safe write of `bytes` as the store file for `key_hex`:
-  /// temp + fsync + atomic rename + directory fsync. Returns false on
-  /// any failure, leaving no partial final file behind.
+  /// Process-crash-safe write of `bytes` as the store file for
+  /// `key_hex`: temp + atomic rename, no fsync (the durability contract
+  /// above). Returns false on any failure, leaving no partial final file
+  /// behind.
   /// FaultPoint::disk_store_write polls here.
   bool save(const std::string& key_hex, const std::string& bytes);
 

@@ -901,6 +901,279 @@ TEST(LocalStgMemoService, ResidentBytesStayUnderATightBudget) {
   EXPECT_GT(tight.stats().evictions, 0);
 }
 
+// ---- the exact-bytes index ----------------------------------------------
+
+/// Detail of the response's "parse" span ("exact" when the exact-bytes
+/// index answered, "cold" when the request was parsed); the request must
+/// have set trace_spans.
+std::string parse_detail(const svc::AnalysisResponse& response) {
+  const int at = span_index(response.spans, "parse");
+  return at < 0 ? "(none)" : response.spans[at].detail;
+}
+
+double exact_hits(svc::AnalysisService& service) {
+  return sample(service.metrics().render_prometheus(),
+                "sitime_exact_request_hits_total");
+}
+
+svc::AnalysisRequest traced(svc::AnalysisRequest request) {
+  request.trace_spans = true;
+  return request;
+}
+
+TEST(ExactBytesIndex, VerifyThenDeriveUpgradeSkipsTheParseAndMatchesCold) {
+  svc::AnalysisService cold;
+  const svc::AnalysisResponse reference =
+      cold.analyze(bench_request("imec-ram-read-sbuf"));
+  ASSERT_TRUE(reference.ok) << reference.error;
+
+  svc::AnalysisService service;
+  const svc::AnalysisResponse verified = service.analyze(traced(
+      bench_request("imec-ram-read-sbuf", svc::RequestMode::verify)));
+  ASSERT_TRUE(verified.ok) << verified.error;
+  EXPECT_EQ(parse_detail(verified), "cold");
+  EXPECT_EQ(service.exact_slots(), 1u);
+  EXPECT_EQ(exact_hits(service), 0);
+
+  const svc::AnalysisResponse upgraded =
+      service.analyze(traced(bench_request("imec-ram-read-sbuf")));
+  ASSERT_TRUE(upgraded.ok) << upgraded.error;
+  EXPECT_EQ(upgraded.cache_state, "upgraded");
+  EXPECT_EQ(upgraded.phases_run, "derive");
+  EXPECT_EQ(parse_detail(upgraded), "exact");
+  EXPECT_EQ(exact_hits(service), 1);
+  EXPECT_EQ(upgraded.key, reference.key);
+  ASSERT_NE(upgraded.canonical_json, nullptr);
+  EXPECT_EQ(*upgraded.canonical_json, *reference.canonical_json);
+  ASSERT_NE(upgraded.netlist_eqn, nullptr);
+  EXPECT_EQ(*upgraded.netlist_eqn, *reference.netlist_eqn);
+
+  // The parse histogram still counts every request, exact ones included.
+  EXPECT_EQ(sample(service.metrics().render_prometheus(),
+                   "sitime_phase_seconds_count{phase=\"parse\","
+                   "source=\"cold\"}"),
+            2);
+}
+
+TEST(ExactBytesIndex, ByteVariantTakesTheCanonicalPathToTheSameEntry) {
+  const auto& bench = benchdata::benchmark("adfast");
+  svc::AnalysisService service;
+  const svc::AnalysisResponse first =
+      service.analyze(bench_request("adfast"));
+  ASSERT_TRUE(first.ok) << first.error;
+
+  svc::AnalysisRequest variant = bench_request("adfast");
+  variant.astg = "# a comment the canonicalizer drops\n" + bench.astg;
+  const svc::AnalysisResponse response = service.analyze(traced(variant));
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(response.cache_state, "hit");
+  EXPECT_EQ(response.key, first.key);
+  EXPECT_EQ(parse_detail(response), "cold");
+  EXPECT_EQ(response.canonical_json.get(), first.canonical_json.get());
+  // Only the entry's creator registered its bytes; the variant stays
+  // on the canonical path every time.
+  EXPECT_EQ(service.exact_slots(), 1u);
+  EXPECT_EQ(parse_detail(service.analyze(traced(variant))), "cold");
+  EXPECT_EQ(exact_hits(service), 0);
+}
+
+TEST(ExactBytesIndex, SplitPointAndNetlistPresenceNeverAlias) {
+  // ("astg\n", "eqn") and ("astg", "\neqn") concatenate to the same
+  // bytes; the length prefix keeps them apart. Both parse to the same
+  // design, so the second is a canonical hit, not an exact one.
+  const auto& imec = benchdata::benchmark("imec-ram-read-sbuf");
+  ASSERT_EQ(imec.astg.back(), '\n');
+  svc::AnalysisService service;
+  ASSERT_TRUE(service.analyze(bench_request(imec.name)).ok);
+  svc::AnalysisRequest moved = bench_request(imec.name);
+  moved.astg.pop_back();
+  moved.eqn = "\n" + imec.eqn;
+  const svc::AnalysisResponse split = service.analyze(traced(moved));
+  ASSERT_TRUE(split.ok) << split.error;
+  EXPECT_EQ(split.cache_state, "hit");
+  EXPECT_EQ(parse_detail(split), "cold");
+  EXPECT_EQ(exact_hits(service), 0);
+
+  // A netlist-free request and an explicit one of the same STG are two
+  // designs: neither may be answered with the other's entry.
+  const svc::AnalysisResponse free_form =
+      service.analyze(bench_request("adfast"));
+  ASSERT_TRUE(free_form.ok) << free_form.error;
+  ASSERT_NE(free_form.netlist_eqn, nullptr);
+  svc::AnalysisRequest explicit_form = bench_request("adfast");
+  explicit_form.eqn = *free_form.netlist_eqn;
+  svc::AnalysisService reference;
+  const svc::AnalysisResponse expected = reference.analyze(explicit_form);
+  ASSERT_TRUE(expected.ok) << expected.error;
+  ASSERT_NE(expected.key, free_form.key);
+
+  const svc::AnalysisResponse response =
+      service.analyze(traced(explicit_form));
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(response.cache_state, "fresh");
+  EXPECT_EQ(parse_detail(response), "cold");
+  EXPECT_EQ(response.key, expected.key);
+  EXPECT_EQ(*response.canonical_json, *expected.canonical_json);
+  // Each form now hits its own entry by its own bytes.
+  const svc::AnalysisResponse free_again =
+      service.analyze(traced(bench_request("adfast")));
+  EXPECT_EQ(parse_detail(free_again), "exact");
+  EXPECT_EQ(free_again.key, free_form.key);
+  const svc::AnalysisResponse explicit_again =
+      service.analyze(traced(explicit_form));
+  EXPECT_EQ(parse_detail(explicit_again), "exact");
+  EXPECT_EQ(explicit_again.key, expected.key);
+  EXPECT_EQ(exact_hits(service), 2);
+}
+
+TEST(ExactBytesIndex, EvictedEntryFallsBackToTheCanonicalPath) {
+  std::size_t size_a = 0, size_b = 0;
+  {
+    svc::AnalysisService probe;
+    ASSERT_TRUE(probe.analyze(bench_request("adfast")).ok);
+    size_a = probe.stats().bytes;
+    ASSERT_TRUE(probe.analyze(bench_request("atod")).ok);
+    size_b = probe.stats().bytes - size_a;
+  }
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = std::max(size_a, size_b);
+  svc::AnalysisService service(options);
+
+  const svc::AnalysisResponse first =
+      service.analyze(bench_request("adfast"));
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(service.analyze(bench_request("atod")).ok);  // evicts adfast
+  ASSERT_EQ(service.stats().evictions, 1);
+
+  const svc::AnalysisResponse again =
+      service.analyze(traced(bench_request("adfast")));
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.cache_state, "fresh");
+  EXPECT_EQ(parse_detail(again), "cold");
+  EXPECT_EQ(again.key, first.key);
+  EXPECT_EQ(*again.canonical_json, *first.canonical_json);
+  EXPECT_EQ(exact_hits(service), 0);
+  // The re-created entry registered its bytes again; atod, now evicted,
+  // misses the index too.
+  EXPECT_EQ(parse_detail(service.analyze(traced(bench_request("adfast")))),
+            "exact");
+  EXPECT_EQ(parse_detail(service.analyze(traced(bench_request("atod")))),
+            "cold");
+  EXPECT_LE(service.stats().bytes, service.stats().budget_bytes);
+}
+
+TEST(ExactBytesIndex, ZeroBudgetLeavesTheIndexEmpty) {
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = 0;
+  svc::AnalysisService service(options);
+  for (int round = 0; round < 3; ++round) {
+    const svc::AnalysisResponse response =
+        service.analyze(traced(bench_request("adfast")));
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.cache_state, "fresh");
+    EXPECT_EQ(parse_detail(response), "cold");
+  }
+  EXPECT_EQ(service.exact_slots(), 0u);
+  EXPECT_EQ(exact_hits(service), 0);
+}
+
+TEST(ExactBytesIndex, TheIndexCopyIsChargedToItsEntry) {
+  // Trailing blank lines in the netlist change the request bytes but
+  // nothing the entry parses or keys, so only the index's copy of the
+  // text can account for the difference.
+  const std::string padding(20000, '\n');
+  svc::AnalysisService plain;
+  const svc::AnalysisResponse reference =
+      plain.analyze(bench_request("imec-ram-read-sbuf"));
+  ASSERT_TRUE(reference.ok) << reference.error;
+  svc::AnalysisService padded;
+  svc::AnalysisRequest request = bench_request("imec-ram-read-sbuf");
+  request.eqn += padding;
+  const svc::AnalysisResponse response = padded.analyze(request);
+  ASSERT_TRUE(response.ok) << response.error;
+  ASSERT_EQ(response.key, reference.key);
+  EXPECT_GE(padded.stats().bytes, plain.stats().bytes + padding.size());
+}
+
+TEST(ExactBytesIndex, ParseFaultStillFiresOnAByteExactRepeat) {
+  if (!base::fault_injection_compiled_in())
+    GTEST_SKIP() << "built without SITIME_FAULTS";
+  svc::AnalysisService service;
+  const svc::AnalysisResponse first =
+      service.analyze(bench_request("imec-ram-read-sbuf"));
+  ASSERT_TRUE(first.ok) << first.error;
+  {
+    svc::FaultScope fault(svc::FaultPoint::parse, /*nth=*/1);
+    const svc::AnalysisResponse failed =
+        service.analyze(bench_request("imec-ram-read-sbuf"));
+    EXPECT_FALSE(failed.ok);
+    EXPECT_EQ(failed.error_code, "analysis_error");
+    EXPECT_NE(failed.error.find("injected fault"), std::string::npos)
+        << failed.error;
+  }
+  EXPECT_EQ(exact_hits(service), 0);
+  const svc::AnalysisResponse served =
+      service.analyze(bench_request("imec-ram-read-sbuf"));
+  ASSERT_TRUE(served.ok) << served.error;
+  EXPECT_EQ(served.cache_state, "hit");
+  EXPECT_EQ(exact_hits(service), 1);
+}
+
+TEST(ExactBytesIndexRace, IdenticalAndVariantRequestsUnderEvictionMatchCold) {
+  // Four threads send byte-identical and byte-variant requests of three
+  // designs, both modes, under a budget that fits the largest design
+  // alone: the index sees creations, hits, evictions and re-creations
+  // concurrently, and every answer must still be the cold one.
+  const std::vector<std::string> names = {"adfast", "atod",
+                                          "imec-ram-read-sbuf"};
+  std::map<std::string, svc::AnalysisResponse> cold;
+  std::size_t largest = 0;
+  for (const std::string& name : names) {
+    svc::AnalysisService fresh;
+    cold[name] = fresh.analyze(bench_request(name));
+    ASSERT_TRUE(cold[name].ok) << name << ": " << cold[name].error;
+    largest = std::max(largest, fresh.stats().bytes);
+  }
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = largest;
+  options.jobs = 2;
+  svc::AnalysisService service(options);
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 24;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::string& name = names[(t + round) % names.size()];
+        svc::AnalysisRequest request = bench_request(
+            name, (t + round) % 3 == 0 ? svc::RequestMode::verify
+                                       : svc::RequestMode::derive);
+        if ((t * kRounds + round) % 4 == 1)
+          request.astg = "# variant " + std::to_string(t) + "\n" +
+                         request.astg;
+        const svc::AnalysisResponse response = service.analyze(request);
+        const svc::AnalysisResponse& expected = cold[name];
+        bool same = response.ok && response.key == expected.key &&
+                    response.speed_independent ==
+                        expected.speed_independent &&
+                    response.netlist_eqn != nullptr &&
+                    *response.netlist_eqn == *expected.netlist_eqn;
+        if (request.mode == svc::RequestMode::derive)
+          same = same && response.canonical_json != nullptr &&
+                 *response.canonical_json == *expected.canonical_json;
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const svc::CacheStats stats = service.stats();
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LE(stats.bytes, stats.budget_bytes);
+  EXPECT_GT(exact_hits(service), 0);
+}
+
 // ---- cache provenance in reports -----------------------------------------
 
 TEST(FlowReportProvenance, ToJsonCarriesCacheProvenanceWhenPresent) {

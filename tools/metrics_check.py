@@ -19,6 +19,8 @@ a traced request, a warm repeat pass, and a {"metrics": true} /
   - every cold derive projected each job at most once: its verify
     filled the local-STG memo and its derive only read it, and the warm
     pass projected nothing;
+  - the exact-bytes index: no cold request matched it, and every warm
+    repeat (byte-identical to its cold request) did;
   - the traced request returns spans naming every phase run, fitting
     inside the total handling time;
   - --slow-ms 1 logged at least one span breakdown to stderr;
@@ -264,6 +266,18 @@ def main():
     assert memo["misses"] > 0, memo
     assert memo["hits"] >= memo["misses"], memo
 
+    # The exact-bytes index: the cold pass sent each design's bytes once,
+    # so nothing matched; every warm request repeats its cold request's
+    # bytes and skips the parse.
+    exact = "sitime_exact_request_hits_total"
+    assert typed2.get(exact) == "counter", (exact, typed2.get(exact))
+    assert counter_value(scrape1, exact) == 0, counter_value(scrape1, exact)
+    warm_requests = sum(1 for r in requests if r["id"].startswith("h-"))
+    assert (
+        counter_value(scrape2, exact) - counter_value(scrape1, exact)
+        == warm_requests
+    ), (counter_value(scrape2, exact), warm_requests)
+
     check_spans(by_id["t"])
 
     # Cold flow runs take ≥ 1 ms, so --slow-ms 1 must have logged some.
@@ -281,6 +295,7 @@ def main():
         typed_catalog
     )
     assert "sitime_disk_store_loads_total" in typed_catalog, typed_catalog
+    assert "sitime_exact_request_hits_total" in typed_catalog, typed_catalog
 
     print(
         f"metrics OK: {len(BENCHES)} designs cold+warm, 2 scrapes "

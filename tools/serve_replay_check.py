@@ -12,8 +12,10 @@ passes must be all cache hits (the dumped directory is that same suite).
 With --cache-dir the replay exercises the restart-survival contract of the
 persistent warm store instead: serve the suite cold on a server started
 with --cache-dir, SIGKILL it the moment the last response is read (a
-crash, not a drain — the spill must already be durable), then start a
-fresh server over the same directory and assert the second pass is served
+process crash, not a drain: a response you have read implies the entry
+survives a process crash; after a power loss an entry may be
+recomputed), then start a fresh server over the same directory and
+assert the second pass is served
 entirely from disk (every response a "hit", disk_loads == designs, zero
 decompose/verify/derive re-runs) with report JSON byte-identical to the
 cold pass. DIR is optional; without it a temp directory is used and
@@ -58,8 +60,9 @@ def run_serve(serve, requests, warm=False, extra=None):
 
 def run_serve_then_kill(serve, extra, requests):
     """One sitime_serve process over `requests`, SIGKILLed (not drained)
-    the moment the last response line is read. Models a crash/deploy: any
-    state the server wanted to keep must already be durable on disk."""
+    the moment the last response line is read. Models a process crash or
+    deploy: any entry whose response was read must already be in the
+    store (a spill that reached the page cache survives the process)."""
     command = [serve, "--jobs", "2", "--admit", "1"] + extra
     proc = subprocess.Popen(
         command,

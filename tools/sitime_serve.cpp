@@ -25,12 +25,13 @@
 //   --cache-mb N         design-cache byte budget in MiB (default 256;
 //                        0 disables caching, single-flight still applies)
 //   --cache-dir DIR      persistent warm store: terminal design entries
-//                        are spilled to DIR as they complete (crash-safe
-//                        writes) and reloaded at boot, so a restarted
-//                        server serves the same designs as pure hits
-//                        with byte-identical reports; corrupted or
-//                        stale-version files are deleted and their
-//                        designs run cold (see tools/README.md)
+//                        are spilled to DIR as they complete (they
+//                        survive a process crash; after a power loss an
+//                        entry may be recomputed) and reloaded at boot,
+//                        so a restarted server serves the same designs
+//                        as pure hits with byte-identical reports;
+//                        corrupted or stale-version files are deleted
+//                        and their designs run cold (see tools/README.md)
 //   --warm               preload the embedded benchmark suite
 //   --max-connections N  concurrent connection limit (default 256;
 //                        0 = unlimited)
