@@ -3,8 +3,9 @@
 // re-decomposes and expands every (component × gate) job against a
 // private state-graph cache) against delta (the service's warm path: the
 // edited design shares the decomposition of its unchanged STG, skipping
-// the global-SG rebuild, and the process-wide sg::SgCache serves the
-// state graphs the re-expansion asks for). An edit never changes the gate
+// the global-SG rebuild, reads the memoized outcomes of its unchanged
+// gates, and the process-wide sg::SgCache serves the state graphs the
+// re-expansion of the rest asks for). An edit never changes the gate
 // count, so the delta lane, like the service, hands every edit the one
 // shared decomposition as is: its decompose time reads 0. Emits one JSON
 // document (committed as BENCH_incremental.json at the repo root) with a
@@ -13,7 +14,11 @@
 // into a FlowReport and render its canonical JSON, the only form it keeps.
 // Each lane also reports its Algorithm 1 projections per edit: the cold
 // lane projects every job of its fresh decomposition, the delta lane finds
-// every job's local STG in the shared decomposition's memo.
+// every job's local STG in the shared decomposition's memo. And each lane
+// reports its Expander runs per edit: the cold lane expands every job, the
+// delta lane only the jobs whose gate covers differ from the outcome the
+// shared decomposition memoized for them (the edited gate, and the gate
+// the previous edit changed back).
 //
 // The loop models a designer iterating on one gate of a finished design:
 // the STG is parsed once and stays fixed; each iteration re-parses the
@@ -86,6 +91,7 @@ struct PhaseBreakdown {
   double expand_seconds = 0.0;     // the (component × gate) job graph
   double render_seconds = 0.0;     // report assembly + canonical JSON
   long long projections = 0;       // local STGs projected (memo misses)
+  long long expand_jobs = 0;       // Expander runs (outcome memo misses)
 };
 
 struct DesignRow {
@@ -104,10 +110,12 @@ void print_phases(const char* prefix, const PhaseBreakdown& phases,
   std::printf("\"%s_decompose_seconds\": %.6f, "
               "\"%s_expand_seconds\": %.6f, "
               "\"%s_render_seconds\": %.6f, "
-              "\"%s_projections_per_edit\": %.2f",
+              "\"%s_projections_per_edit\": %.2f, "
+              "\"%s_expand_jobs_per_edit\": %.2f",
               prefix, phases.decompose_seconds, prefix,
               phases.expand_seconds, prefix, phases.render_seconds, prefix,
-              static_cast<double>(phases.projections) / edits);
+              static_cast<double>(phases.projections) / edits, prefix,
+              static_cast<double>(phases.expand_jobs) / edits);
 }
 
 }  // namespace
@@ -140,13 +148,16 @@ int main() {
                               sg::SgCache* sg_cache,
                               PhaseBreakdown& phases) {
       base::MetricCounter projections;
+      base::MetricCounter expand_jobs;
       core::FlowOptions options;
       options.sg_cache = sg_cache;
       options.local_stg_misses = &projections;
+      options.derive_outcome_misses = &expand_jobs;
       const core::FlowResult result = core::derive_timing_constraints(
           decomposition, stg, edited, options);
       phases.expand_seconds += result.expand_seconds;
       phases.projections += projections.value();
+      phases.expand_jobs += expand_jobs.value();
       const auto render_start = Clock::now();
       const core::FlowReport report =
           core::make_flow_report(bench.name, result, stg.signals);
@@ -171,11 +182,12 @@ int main() {
     row.cold_seconds = seconds_since(cold_start);
 
     // Delta: decompose ONCE (the STG never changes in the edit stream, so
-    // the service shares one decomposition), prime a shared SG cache with
-    // the unedited design, then replay the same edit stream. Each edit
-    // derives against the shared decomposition, and its expansion finds
-    // the state graphs of the unchanged local STGs in the shared cache, as
-    // a resident service's does.
+    // the service shares one decomposition), prime it and a shared SG
+    // cache with the unedited design, then replay the same edit stream.
+    // Each edit derives against the shared decomposition: its unchanged
+    // gates' jobs read their memoized outcomes, and the expansion of the
+    // rest finds the state graphs of the unchanged local STGs in the
+    // shared cache, as a resident service's does.
     sg::SgCache sg_cache;
     const core::FlowDecomposition cached =
         core::decompose_flow(stg, circuit);

@@ -93,7 +93,8 @@ class CancelToken {
       : flag_(std::move(flag)), deadline_(deadline) {}
 
   /// False for the inert default token: callers may skip wiring work
-  /// (e.g. for_each_local_stg skips per-job polls entirely).
+  /// (e.g. the flow copies only a cancellable token into its Expand
+  /// options).
   bool cancellable() const { return flag_ != nullptr || deadline_.active(); }
 
   bool cancel_requested() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 
 #include "base/error.hpp"
@@ -88,14 +89,14 @@ FlowDecomposition decompose_flow(const stg::Stg& impl,
 
 std::shared_ptr<const stg::MgStg> FlowDecomposition::local_stg_of(
     int component, const circuit::Gate& gate, bool* hit) const {
-  LocalStgMemo::Key key{component, gate.fanins};
+  JobMemo::ProjectionKey key{component, gate.fanins};
   std::vector<int>& kept = key.second;
   kept.push_back(gate.output);
   std::sort(kept.begin(), kept.end());
   {
     std::lock_guard<std::mutex> lock(memo.mutex_);
-    const auto found = memo.slots_.find(key);
-    if (found != memo.slots_.end()) {
+    const auto found = memo.projections_.find(key);
+    if (found != memo.projections_.end()) {
       if (hit != nullptr) *hit = true;
       return found->second;
     }
@@ -106,23 +107,69 @@ std::shared_ptr<const stg::MgStg> FlowDecomposition::local_stg_of(
   auto local = std::make_shared<const stg::MgStg>(
       core::local_stg(component_stgs[component], gate));
   std::lock_guard<std::mutex> lock(memo.mutex_);
-  const auto found = memo.slots_.find(key);
-  if (found != memo.slots_.end()) return found->second;
-  if (memo.slots_.size() < jobs.size())
-    memo.slots_.emplace(std::move(key), local);
+  const auto found = memo.projections_.find(key);
+  if (found != memo.projections_.end()) return found->second;
+  if (memo.projections_.size() < jobs.size())
+    memo.projections_.emplace(std::move(key), local);
   return local;
 }
 
 std::vector<MemoizedLocalStg> FlowDecomposition::memoized_local_stgs() const {
   std::vector<MemoizedLocalStg> snapshot;
   std::lock_guard<std::mutex> lock(memo.mutex_);
-  snapshot.reserve(memo.slots_.size());
-  for (const auto& [key, local] : memo.slots_)
+  snapshot.reserve(memo.projections_.size());
+  for (const auto& [key, local] : memo.projections_)
     snapshot.push_back({key.first, key.second, local});
   return snapshot;
 }
 
+std::vector<JobOutcome> FlowDecomposition::job_outcomes(
+    const circuit::Circuit& circuit) const {
+  std::vector<JobOutcome> outcomes(jobs.size());
+  std::lock_guard<std::mutex> lock(memo.mutex_);
+  if (memo.outcomes_.empty()) return outcomes;
+  for (const FlowJob& job : jobs) {
+    const auto found = memo.outcomes_.find(
+        {job.component, circuit.gates()[job.gate].output});
+    if (found != memo.outcomes_.end()) outcomes[job.index] = found->second;
+  }
+  return outcomes;
+}
+
+void FlowDecomposition::remember_outcome(
+    const FlowJob& job, const circuit::Gate& gate,
+    std::optional<bool> conformant,
+    std::shared_ptr<const JobDerivation> derivation) const {
+  const JobMemo::OutcomeKey key{job.component, gate.output};
+  std::lock_guard<std::mutex> lock(memo.mutex_);
+  auto found = memo.outcomes_.find(key);
+  if (found == memo.outcomes_.end()) {
+    if (memo.outcomes_.size() >= jobs.size()) return;
+    found = memo.outcomes_.emplace(key, JobOutcome{}).first;
+  }
+  JobOutcome& slot = found->second;
+  if (!slot.computed_from(gate))
+    slot = {std::make_shared<const JobCovers>(
+                JobCovers{gate.up.cubes, gate.down.cubes}),
+            std::nullopt, nullptr};
+  if (conformant) slot.conformant = conformant;
+  if (derivation != nullptr) slot.derivation = std::move(derivation);
+}
+
+std::vector<MemoizedOutcome> FlowDecomposition::memoized_outcomes() const {
+  std::vector<MemoizedOutcome> snapshot;
+  std::lock_guard<std::mutex> lock(memo.mutex_);
+  snapshot.reserve(memo.outcomes_.size());
+  for (const auto& [key, outcome] : memo.outcomes_)
+    snapshot.push_back({key.first, key.second, outcome});
+  return snapshot;
+}
+
 namespace {
+
+void count(base::MetricCounter* counter, long long delta) {
+  if (counter != nullptr && delta > 0) counter->inc(delta);
+}
 
 /// The memoized local STG of `job`, counted on the options' counters.
 std::shared_ptr<const stg::MgStg> job_local_stg(
@@ -131,24 +178,28 @@ std::shared_ptr<const stg::MgStg> job_local_stg(
   bool hit = false;
   std::shared_ptr<const stg::MgStg> local =
       decomposition.local_stg_of(job.component, gate, &hit);
-  base::MetricCounter* counter =
-      hit ? options.local_stg_hits : options.local_stg_misses;
-  if (counter != nullptr) counter->inc();
+  count(hit ? options.local_stg_hits : options.local_stg_misses, 1);
   return local;
 }
 
-/// The dispatch skeleton under for_each_local_stg, minus the projection:
-/// verify drives it directly so a job past the first offender returns
-/// before it projects.
-void for_each_flow_job(const FlowDecomposition& decomposition,
+/// Calls visit(job) for every job of `flow_jobs` (verify's and derive's
+/// outcome-memo misses, in job order). Returning false from visit stops
+/// the iteration: serially nothing after that job runs; in parallel only
+/// jobs later in the list than the stopping job may be skipped (every
+/// earlier one still runs, so index-ordered answers stay
+/// schedule-independent). jobs == 1, or a single job, runs serially on the
+/// calling thread; otherwise the jobs run on `pool` (null = the shared
+/// pool) with at most `jobs` in flight (0 = one per hardware thread).
+/// `cancel` is polled before every job dispatch.
+void for_each_flow_job(const std::vector<FlowJob>& flow_jobs,
                        const std::function<bool(const FlowJob&)>& visit,
                        int jobs, base::ThreadPool* pool,
                        const CancelToken& cancel) {
   jobs = effective_jobs(jobs);
-  const int job_count = static_cast<int>(decomposition.jobs.size());
+  const int job_count = static_cast<int>(flow_jobs.size());
   auto run_job = [&](int index) -> bool {
     cancel.poll("flow job dispatch");
-    return visit(decomposition.jobs[index]);
+    return visit(flow_jobs[index]);
   };
   if (jobs == 1 || job_count <= 1) {
     for (int index = 0; index < job_count; ++index)
@@ -175,21 +226,6 @@ void for_each_flow_job(const FlowDecomposition& decomposition,
 }
 
 }  // namespace
-
-void for_each_local_stg(
-    const FlowDecomposition& decomposition, const circuit::Circuit& circuit,
-    const std::function<bool(const FlowJob&, stg::MgStg)>& visit,
-    const FlowOptions& options) {
-  for_each_flow_job(
-      decomposition,
-      [&](const FlowJob& job) {
-        // A copy: the job relaxes its local STG in place.
-        return visit(job, stg::MgStg(*job_local_stg(
-                              decomposition, job, circuit.gates()[job.gate],
-                              options)));
-      },
-      options.jobs, options.pool, options.cancel);
-}
 
 FlowResult derive_timing_constraints(const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
@@ -228,6 +264,43 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
   }
   result.gate_count = static_cast<int>(circuit.gates().size());
 
+  // Jobs whose derivation the memo holds for this gate and these options
+  // are answered from it; the rest run. A trace must see every step, so
+  // a traced run computes every job and stores nothing. A run that finds
+  // every job memoized dispatches nothing, so the token is polled here.
+  const bool memoize = options.expand.trace == nullptr;
+  options.cancel.poll("flow job dispatch");
+  std::vector<std::shared_ptr<const JobDerivation>> derivations(
+      decomposition.jobs.size());
+  std::vector<FlowJob> misses;
+  int memoized_steps = 0;
+  if (memoize) {
+    const std::vector<JobOutcome> outcomes =
+        decomposition.job_outcomes(circuit);
+    for (const FlowJob& job : decomposition.jobs) {
+      const JobOutcome& outcome = outcomes[job.index];
+      if (outcome.derivation != nullptr &&
+          outcome.derivation->derived_with(options.expand) &&
+          outcome.computed_from(circuit.gates()[job.gate])) {
+        derivations[job.index] = outcome.derivation;
+        memoized_steps += outcome.derivation->steps;
+      } else {
+        misses.push_back(job);
+      }
+    }
+  } else {
+    misses = decomposition.jobs;
+  }
+  count(options.derive_outcome_hits,
+        static_cast<long long>(decomposition.jobs.size() - misses.size()));
+  count(options.derive_outcome_misses, static_cast<long long>(misses.size()));
+  // Memoized jobs charge their recorded steps to the budget (not to
+  // expand_steps, which counts the work done), so the per-flow bound trips
+  // exactly when the same jobs run cold would trip it.
+  if (memoized_steps > options.expand.max_steps)
+    throw ExpandLimitError("expand: step limit exceeded");
+  std::atomic<int> step_budget{memoized_steps};
+
   const circuit::AdversaryAnalysis adversary(&impl);
   sg::SgCache private_cache;  // per-run fallback when none is supplied
   // Shared by every job of this flow — and, via options.sg_cache, across
@@ -236,61 +309,64 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
       options.sg_cache != nullptr ? *options.sg_cache : private_cache;
   const long long cache_hits_before = cache.hits();
   const long long cache_misses_before = cache.misses();
-  std::atomic<int> step_budget{0};  // makes max_steps a per-flow bound
 
-  // Parallel runs also fan the OR-causality subSTG recursion out onto the
-  // same pool (intra-gate parallelism below the job level).
+  // A single miss runs on the calling thread (for_each_flow_job never
+  // dispatches one job to the pool), without subtasks: the pool would only
+  // add hand-off cost. Parallel runs also fan the OR-causality subSTG
+  // recursion out onto the same pool (intra-gate parallelism below the
+  // job level).
+  const int dispatch_jobs = misses.size() <= 1 ? 1 : result.jobs;
   ExpandOptions expand_options = options.expand;
   if (options.cancel.cancellable() && !expand_options.cancel.cancellable())
     expand_options.cancel = options.cancel;
-  if (result.jobs > 1)
+  if (dispatch_jobs > 1)
     expand_options.subtask_pool =
         options.pool != nullptr ? options.pool : &base::ThreadPool::shared();
 
   // Each job fills its own slot; slots are merged in job order below, so
   // the constraint sets cannot depend on the schedule.
-  struct JobOutput {
-    ConstraintSet before;
-    ConstraintSet after;
-    int steps = 0;
-    int subtasks = 0;
-  };
-  std::vector<JobOutput> outputs(decomposition.jobs.size());
-  FlowOptions job_options = options;
-  job_options.jobs = result.jobs;
+  std::atomic<int> steps{0};
+  std::atomic<int> subtasks{0};
   const auto expand_start = std::chrono::steady_clock::now();
-  for_each_local_stg(
-      decomposition, circuit,
-      [&](const FlowJob& job, stg::MgStg local) {
-        JobOutput& out = outputs[job.index];
+  for_each_flow_job(
+      misses,
+      [&](const FlowJob& job) {
         const circuit::Gate& gate = circuit.gates()[job.gate];
+        // A copy: the job relaxes its local STG in place.
+        stg::MgStg local(*job_local_stg(decomposition, job, gate, options));
+        auto out = std::make_shared<JobDerivation>();
+        out->order = options.expand.order;
+        out->max_depth = options.expand.max_depth;
         // Baseline: every type-4 arc is an adversary-path condition.
         for (int index : relaxable_arcs(local, gate.output)) {
           const stg::MgArc& arc = local.arcs()[index];
-          out.before.emplace(
+          out->before.emplace(
               TimingConstraint{gate.output, local.label(arc.from),
                                local.label(arc.to)},
               adversary.weight(local.label(arc.from), local.label(arc.to)));
         }
         Expander expander(&adversary, expand_options, &cache, &step_budget);
-        expander.expand(std::move(local), gate, out.after);
-        out.steps = expander.steps();
-        out.subtasks = expander.subtasks();
+        expander.expand(std::move(local), gate, out->after);
+        out->steps = expander.steps();
+        steps.fetch_add(out->steps, std::memory_order_relaxed);
+        subtasks.fetch_add(expander.subtasks(), std::memory_order_relaxed);
+        if (memoize) decomposition.remember_outcome(job, gate, {}, out);
+        derivations[job.index] = std::move(out);
         return true;
       },
-      job_options);
+      dispatch_jobs, options.pool, options.cancel);
   result.expand_seconds = seconds_since(expand_start);
 
-  for (const JobOutput& out : outputs) {
+  for (const std::shared_ptr<const JobDerivation>& out : derivations) {
     // emplace keeps the first weight seen for a duplicate constraint,
     // matching the serial loop's insertion order job by job.
-    for (const auto& [constraint, weight] : out.before)
+    for (const auto& [constraint, weight] : out->before)
       result.before.emplace(constraint, weight);
-    for (const auto& [constraint, weight] : out.after)
+    for (const auto& [constraint, weight] : out->after)
       result.after.emplace(constraint, weight);
-    result.expand_steps += out.steps;
-    result.expand_subtasks += out.subtasks;
   }
+  result.expand_steps = steps.load(std::memory_order_relaxed);
+  result.expand_subtasks = subtasks.load(std::memory_order_relaxed);
   result.cache_hits = static_cast<int>(cache.hits() - cache_hits_before);
   result.cache_misses =
       static_cast<int>(cache.misses() - cache_misses_before);
@@ -309,22 +385,50 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
                                      const circuit::Circuit& circuit,
                                      const FlowOptions& options) {
   // The smallest offending job index wins, so the answer is stable for any
-  // schedule (and matches the serial early-exit order).
-  std::atomic<int> first_bad{std::numeric_limits<int>::max()};
+  // schedule (and matches the serial early-exit order). Memoized verdicts
+  // are read first, in job order, up to the first memoized offender: only
+  // the jobs below it that the memo misses can still lower the answer.
+  options.cancel.poll("flow job dispatch");
+  int memoized_bad = std::numeric_limits<int>::max();
+  std::vector<FlowJob> misses;
+  {
+    const std::vector<JobOutcome> outcomes =
+        decomposition.job_outcomes(circuit);
+    for (const FlowJob& job : decomposition.jobs) {
+      const JobOutcome& outcome = outcomes[job.index];
+      if (!outcome.conformant ||
+          !outcome.computed_from(circuit.gates()[job.gate])) {
+        misses.push_back(job);
+      } else if (!*outcome.conformant) {
+        memoized_bad = job.index;
+        break;
+      }
+    }
+    const long long looked_up =
+        memoized_bad == std::numeric_limits<int>::max()
+            ? static_cast<long long>(decomposition.jobs.size())
+            : memoized_bad + 1;
+    count(options.verify_outcome_hits,
+          looked_up - static_cast<long long>(misses.size()));
+  }
+  std::atomic<int> first_bad{memoized_bad};
   sg::SgCache private_cache;  // per-run fallback, as in derive
   sg::SgCache& cache =
       options.sg_cache != nullptr ? *options.sg_cache : private_cache;
   for_each_flow_job(
-      decomposition,
+      misses,
       [&](const FlowJob& job) {
         if (job.index > first_bad.load(std::memory_order_relaxed))
           return true;  // cannot improve the answer
+        count(options.verify_outcome_misses, 1);
         const circuit::Gate& gate = circuit.gates()[job.gate];
         const std::shared_ptr<const stg::MgStg> local =
             job_local_stg(decomposition, job, gate, options);
         const std::shared_ptr<const sg::StateGraph> graph =
             cache.get_or_build(*local, options.cancel);
-        if (timing_conformant(*graph, *local, gate)) return true;
+        const bool conformant = timing_conformant(*graph, *local, gate);
+        decomposition.remember_outcome(job, gate, conformant, nullptr);
+        if (conformant) return true;
         int current = first_bad.load(std::memory_order_relaxed);
         while (job.index < current &&
                !first_bad.compare_exchange_weak(current, job.index)) {

@@ -10,21 +10,24 @@
 //
 // Every (MG component × gate) expansion is independent, so the flow treats
 // each as one job: decompose_flow() enumerates the jobs in a stable order,
-// for_each_local_stg() dispatches them (serially or on a base::ThreadPool),
-// and derive_timing_constraints() merges the per-job constraint sets in job
-// order — the result is byte-identical for any worker count or schedule.
+// verify_speed_independent() and derive_timing_constraints() dispatch them
+// (serially or on a base::ThreadPool), and derive merges the per-job
+// constraint sets in job order — the result is byte-identical for any
+// worker count or schedule.
 //
 // A job's local STG depends only on its component and the gate's signal
-// set, so the decomposition memoizes it: the verify and derive phases, and
-// every netlist of one STG that shares the decomposition, project each job
-// once.
+// set, and its verdict and constraints only on that local STG and the
+// gate's covers, so the decomposition memoizes both: the verify and derive
+// phases, and every netlist of one STG that shares the decomposition,
+// project each job once and verify or derive each unchanged gate once.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/cancel.hpp"
@@ -56,14 +59,16 @@ struct FlowResult {
   int mg_component_count = 0;
   // Orchestration statistics (filled by derive_timing_constraints).
   int jobs = 1;             // worker bound the flow ran with
-  int expand_steps = 0;     // relaxation attempts summed over all jobs
+  int expand_steps = 0;     // relaxation attempts summed over the jobs
+                            // that ran (a memoized job adds none)
   /// SubSTG expansions dispatched as pool subtasks (intra-gate
-  /// parallelism below the (component × gate) job level; 0 when serial or
-  /// when no OR-causality decomposition occurred). Deterministic on
-  /// successful flows; a flow that trips a resource bound
-  /// (ExpandLimitError) fails as a whole, so scheduling can never change
-  /// a *returned* result. Orchestration statistics still stay out of the
-  /// canonical report body.
+  /// parallelism below the (component × gate) job level; 0 when serial,
+  /// when at most one job missed the decomposition's outcome memo, or when
+  /// no OR-causality decomposition occurred; a memoized job dispatches
+  /// none). Deterministic on successful flows from the same memo state; a
+  /// flow that trips a resource bound (ExpandLimitError) fails as a whole,
+  /// so scheduling can never change a *returned* result. Orchestration
+  /// statistics still stay out of the canonical report body.
   int expand_subtasks = 0;
   int cache_hits = 0;       // shared SgCache statistics
   int cache_misses = 0;
@@ -102,6 +107,14 @@ struct FlowOptions {
   /// The service points them at its registry counters.
   base::MetricCounter* local_stg_hits = nullptr;
   base::MetricCounter* local_stg_misses = nullptr;
+  /// When set, bumped once per verify / derive job whose outcome the
+  /// decomposition's memo already held for the gate's covers (and, for
+  /// derive, the expand options) / had to compute
+  /// (FlowDecomposition::job_outcomes).
+  base::MetricCounter* verify_outcome_hits = nullptr;
+  base::MetricCounter* verify_outcome_misses = nullptr;
+  base::MetricCounter* derive_outcome_hits = nullptr;
+  base::MetricCounter* derive_outcome_misses = nullptr;
 };
 
 /// One (MG component × gate) unit of flow work.
@@ -120,24 +133,76 @@ struct MemoizedLocalStg {
   std::shared_ptr<const stg::MgStg> local;
 };
 
-/// The projection memo of one FlowDecomposition. A copy (or move) of a
-/// decomposition starts with an empty memo, and assigning one clears it:
-/// the memo belongs to the object whose component_stgs it projected.
-class LocalStgMemo {
+/// A derive job's share of the answer: its type-4 baseline and relaxed
+/// constraints, the relaxation steps they took, and the expand options
+/// that shape them.
+struct JobDerivation {
+  ExpandOptions::OrderPolicy order = ExpandOptions::OrderPolicy::tightest_first;
+  int max_depth = 0;
+  ConstraintSet before;
+  ConstraintSet after;
+  int steps = 0;
+
+  bool derived_with(const ExpandOptions& options) const {
+    return order == options.order && max_depth == options.max_depth;
+  }
+};
+
+/// The gate covers, cube for cube, a memoized job outcome was computed
+/// from. Equal covers mean an equal job: the local STG follows from their
+/// support.
+struct JobCovers {
+  std::vector<boolfn::Cube> up;
+  std::vector<boolfn::Cube> down;
+};
+
+/// The memoized outcome of one (component × gate output) job: its verify
+/// verdict and its derivation, and the covers both were computed from.
+/// The covers are copied once, by whichever phase first finishes the job
+/// for them; the other phase attaches its part to the same slot.
+struct JobOutcome {
+  std::shared_ptr<const JobCovers> covers;
+  /// The verify verdict: the job's local SG is timing conformant to the
+  /// gate. Empty until a verify run finished the job.
+  std::optional<bool> conformant;
+  /// Null until a derive run finished the job.
+  std::shared_ptr<const JobDerivation> derivation;
+
+  bool computed_from(const circuit::Gate& gate) const {
+    return covers != nullptr && covers->up == gate.up.cubes &&
+           covers->down == gate.down.cubes;
+  }
+};
+
+/// One memoized outcome, keyed by (component, gate output).
+struct MemoizedOutcome {
+  int component = -1;
+  int output = -1;
+  JobOutcome outcome;
+};
+
+/// The job memo of one FlowDecomposition: projections and outcomes. A copy
+/// (or move) of a decomposition starts with an empty memo, and assigning
+/// one clears it: the memo belongs to the object whose component_stgs it
+/// projected.
+class JobMemo {
  public:
-  LocalStgMemo() = default;
-  LocalStgMemo(const LocalStgMemo&) {}
-  LocalStgMemo& operator=(const LocalStgMemo&) {
+  JobMemo() = default;
+  JobMemo(const JobMemo&) {}
+  JobMemo& operator=(const JobMemo&) {
     std::lock_guard<std::mutex> lock(mutex_);
-    slots_.clear();
+    projections_.clear();
+    outcomes_.clear();
     return *this;
   }
 
  private:
   friend struct FlowDecomposition;
-  using Key = std::pair<int, std::vector<int>>;  // (component, kept)
+  using ProjectionKey = std::pair<int, std::vector<int>>;  // (component, kept)
+  using OutcomeKey = std::pair<int, int>;  // (component, gate output)
   mutable std::mutex mutex_;
-  std::map<Key, std::shared_ptr<const stg::MgStg>> slots_;
+  std::map<ProjectionKey, std::shared_ptr<const stg::MgStg>> projections_;
+  std::map<OutcomeKey, JobOutcome> outcomes_;
 };
 
 /// The shared, read-only part of the flow every job starts from.
@@ -163,10 +228,29 @@ struct FlowDecomposition {
   std::shared_ptr<const stg::MgStg> local_stg_of(
       int component, const circuit::Gate& gate, bool* hit = nullptr) const;
 
-  /// A snapshot of the memo, in key order.
+  /// A snapshot of the memoized projections, in key order.
   std::vector<MemoizedLocalStg> memoized_local_stgs() const;
 
-  mutable LocalStgMemo memo;
+  /// The memoized outcome of each job of `circuit`, in job order, read
+  /// under one lock: empty where the memo holds none for the job's
+  /// (component, gate output). A slot may have been computed from another
+  /// netlist's gate; JobOutcome::computed_from tells.
+  std::vector<JobOutcome> job_outcomes(const circuit::Circuit& circuit) const;
+
+  /// Stores what a finished job computed for `gate`: its verify verdict
+  /// or its derivation. A slot computed from the same covers gains the
+  /// part; any other slot is reset to `gate`'s covers first. Thread-safe.
+  /// The memo holds at most jobs.size() outcomes (one per (component,
+  /// non-input signal)); a new key past that bound is not kept.
+  void remember_outcome(
+      const FlowJob& job, const circuit::Gate& gate,
+      std::optional<bool> conformant,
+      std::shared_ptr<const JobDerivation> derivation) const;
+
+  /// A snapshot of the memoized outcomes, in key order.
+  std::vector<MemoizedOutcome> memoized_outcomes() const;
+
+  mutable JobMemo memo;
 };
 
 /// Builds the global SG, checks consistency, and enumerates the MG
@@ -183,25 +267,6 @@ FlowDecomposition decompose_flow(const stg::Stg& impl,
                                  const circuit::Circuit& circuit,
                                  const sg::GlobalSg& global);
 
-/// Calls visit(job, local_stg) for every job, handing each gate's local STG
-/// (Algorithm 1 projection, from FlowDecomposition::local_stg_of) by value.
-/// Returning false from visit stops the iteration: serially nothing after
-/// that job runs; in parallel only jobs with a *higher* index than the
-/// stopping job may be skipped (every lower index still runs, so
-/// index-ordered answers stay schedule-independent).
-/// Only `options.jobs`, `pool`, `cancel` and the local_stg counters
-/// participate. jobs == 1 runs serially in stable job order on the calling
-/// thread; otherwise the jobs run on `pool` (null = the shared pool) with
-/// at most `jobs` of them in flight (0 = one per hardware thread), and
-/// `visit` must be thread-safe.
-/// `cancel` is polled before every job dispatch (serial and parallel); a
-/// fired token unwinds with base::CancelledError instead of visiting the
-/// remaining jobs.
-void for_each_local_stg(
-    const FlowDecomposition& decomposition, const circuit::Circuit& circuit,
-    const std::function<bool(const FlowJob&, stg::MgStg)>& visit,
-    const FlowOptions& options = {});
-
 /// Runs the whole flow. Throws on malformed inputs (inconsistent STG,
 /// non-free-choice net, missing gates).
 FlowResult derive_timing_constraints(const stg::Stg& impl,
@@ -212,6 +277,13 @@ FlowResult derive_timing_constraints(const stg::Stg& impl,
 /// decompose_flow(impl, circuit)): lets one decomposition feed both the
 /// verify and derive phases — and, via a design cache, many requests —
 /// without rebuilding the global SG and MG components each time.
+/// Every job's derivation is first looked up in the decomposition's
+/// outcome memo on the calling thread; only the jobs it misses run (and
+/// are remembered), and with at most one miss nothing goes to the pool. A
+/// memoized job charges its recorded steps to the max_steps budget, so the
+/// bound trips exactly when it would on a cold decomposition. A job that
+/// throws or is cancelled stores nothing; a run with expand.trace set
+/// neither reads nor writes the memo.
 FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
                                      const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
@@ -221,9 +293,11 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
 /// assumption (i.e. before any relaxation) every gate's local STG is timing
 /// conformant to the gate. Returns the name of the first offending gate (in
 /// stable job order, independent of `options.jobs`), or an empty string.
-/// The local STGs come from the decomposition's memo and the local SGs
-/// from `options.sg_cache` (or a private per-run cache), exactly as in
-/// derive_timing_constraints; the expand options do not participate.
+/// Each job's verdict is first looked up in the decomposition's outcome
+/// memo, as in derive_timing_constraints; the jobs it misses get their
+/// local STGs from the memo and their local SGs from `options.sg_cache`
+/// (or a private per-run cache), and with at most one miss nothing goes
+/// to the pool. The expand options do not participate.
 std::string verify_speed_independent(const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
                                      const FlowOptions& options = {});

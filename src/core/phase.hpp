@@ -94,10 +94,11 @@ void run_decompose_phase(PhaseArtifacts& artifacts,
 
 /// decomposed -> verified: the isochronic-fork timing-conformance check
 /// over the (component × gate) jobs. Only `options.jobs`, `options.pool`,
-/// `options.cancel`, `options.sg_cache` and the local_stg counters
-/// participate; the verdict is identical for every jobs value. The local
-/// STGs it projects stay memoized on the decomposition for the derive
-/// phase.
+/// `options.cancel`, `options.sg_cache`, the local_stg counters and the
+/// verify outcome counters participate; the verdict is identical for every
+/// jobs value. The local STGs it projects and the verdicts it computes
+/// stay memoized on the decomposition, for the derive phase and for every
+/// other netlist of the STG that shares it.
 void run_verify_phase(PhaseArtifacts& artifacts,
                       const FlowOptions& options = {});
 

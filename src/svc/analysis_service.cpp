@@ -1,6 +1,7 @@
 #include "svc/analysis_service.hpp"
 
 #include <chrono>
+#include <string_view>
 #include <utility>
 
 #include "base/error.hpp"
@@ -104,19 +105,24 @@ AnalysisService::Parsed AnalysisService::parse_request(
   // MODE: the mode selects which phases of the one entry must be complete,
   // it does not change any artifact.
   parsed.stg_canonical = stg::write_astg(*parsed.stg);
+  const std::string eqn = parsed.circuit != nullptr
+                              ? parsed.circuit->to_eqn()
+                              : std::string("(synthesized)");
+  const std::string order = std::to_string(static_cast<int>(expand.order));
+  const std::string max_steps = std::to_string(expand.max_steps);
+  const std::string max_depth = std::to_string(expand.max_depth);
+  // Sized from its parts, not from the request text: the entry keeps this
+  // string and is charged its capacity, so comments or whitespace in the
+  // request must leave no slack in it.
+  const std::string_view parts[] = {
+      "astg\x1f", parsed.stg_canonical, "\x1f""eqn\x1f", eqn,
+      "\x1f""order\x1f", order, "\x1f""max_steps\x1f", max_steps,
+      "\x1f""max_depth\x1f", max_depth};
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
   std::string canonical;
-  canonical.reserve(request.astg.size() + 64);
-  canonical += "astg\x1f";
-  canonical += parsed.stg_canonical;
-  canonical += "\x1f""eqn\x1f";
-  canonical += parsed.circuit != nullptr ? parsed.circuit->to_eqn()
-                                         : "(synthesized)";
-  canonical += "\x1f""order\x1f";
-  canonical += std::to_string(static_cast<int>(expand.order));
-  canonical += "\x1f""max_steps\x1f";
-  canonical += std::to_string(expand.max_steps);
-  canonical += "\x1f""max_depth\x1f";
-  canonical += std::to_string(expand.max_depth);
+  canonical.reserve(size);
+  for (const std::string_view part : parts) canonical += part;
   parsed.key_hex = fnv1a_hex(canonical);
   parsed.canonical = std::move(canonical);
   return parsed;
@@ -210,9 +216,9 @@ struct AnalysisService::Entry {
                         exact_bytes;
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
-    // The full decomposition, its memoized local STGs included, even when
-    // other entries share it, plus the control block and deleter that
-    // share it. Entries loaded from the store hold none.
+    // The full decomposition, its memoized local STGs and job outcomes
+    // included, even when other entries share it, plus the control block
+    // and deleter that share it. Entries loaded from the store hold none.
     if (artifacts.decomposition != nullptr)
       total += sizeof(core::FlowDecomposition) + 2 * kControlBlockBytes +
                sizeof(LiveCount) + footprint(*artifacts.decomposition);
@@ -341,6 +347,24 @@ void AnalysisService::register_metrics() {
   local_stg_misses_ = &metrics_.counter(
       "sitime_local_stg_memo_misses_total",
       "Verify and derive jobs that projected their local STG (Algorithm 1).");
+  const char* kOutcomeHits = "sitime_job_outcome_memo_hits_total";
+  const char* kOutcomeHitsHelp =
+      "Verify and derive jobs whose outcome the decomposition had already "
+      "computed for the same gate covers (and expand options).";
+  const char* kOutcomeMisses = "sitime_job_outcome_memo_misses_total";
+  const char* kOutcomeMissesHelp =
+      "Verify and derive jobs that computed their outcome (local SG check "
+      "or Expand run).";
+  verify_outcome_hits_ =
+      &metrics_.counter(kOutcomeHits, kOutcomeHitsHelp, "phase=\"verify\"");
+  derive_outcome_hits_ =
+      &metrics_.counter(kOutcomeHits, kOutcomeHitsHelp, "phase=\"derive\"");
+  verify_outcome_misses_ = &metrics_.counter(kOutcomeMisses,
+                                             kOutcomeMissesHelp,
+                                             "phase=\"verify\"");
+  derive_outcome_misses_ = &metrics_.counter(kOutcomeMisses,
+                                             kOutcomeMissesHelp,
+                                             "phase=\"derive\"");
   decomp_hits_ = &metrics_.counter(
       "sitime_decomp_cache_hits_total",
       "Decompose phases served by a shared decomposition of the same STG "
@@ -410,6 +434,10 @@ core::FlowOptions AnalysisService::flow_options(
   options.cancel = cancel;
   options.local_stg_hits = local_stg_hits_;
   options.local_stg_misses = local_stg_misses_;
+  options.verify_outcome_hits = verify_outcome_hits_;
+  options.verify_outcome_misses = verify_outcome_misses_;
+  options.derive_outcome_hits = derive_outcome_hits_;
+  options.derive_outcome_misses = derive_outcome_misses_;
   return options;
 }
 

@@ -492,6 +492,12 @@ class AnalysisService {
   /// the shared decomposition's memo held / had to project.
   base::MetricCounter* local_stg_hits_ = nullptr;
   base::MetricCounter* local_stg_misses_ = nullptr;
+  /// Likewise: verify / derive jobs whose outcome the shared
+  /// decomposition's memo held / had to compute.
+  base::MetricCounter* verify_outcome_hits_ = nullptr;
+  base::MetricCounter* verify_outcome_misses_ = nullptr;
+  base::MetricCounter* derive_outcome_hits_ = nullptr;
+  base::MetricCounter* derive_outcome_misses_ = nullptr;
   base::MetricCounter* disk_writes_ = nullptr;
   base::MetricCounter* disk_write_errors_ = nullptr;
   base::MetricCounter* disk_loads_ = nullptr;

@@ -9,8 +9,8 @@
 //
 // The design cache charges each resident entry through this one model,
 // the shared decomposition it holds included in full (its memoized local
-// STGs too), so the byte budget stays an upper bound on what resident
-// designs keep alive.
+// STGs and job outcomes too), so the byte budget stays an upper bound on
+// what resident designs keep alive.
 #pragma once
 
 #include <cstddef>
@@ -85,9 +85,30 @@ inline std::size_t footprint(const stg::MgStg& mg) {
              (sizeof(stg::TransitionLabel) + 1);
 }
 
-/// The decomposition with its memoized local STGs as they stand now. The
-/// memo only grows (to at most one projection per job), so an entry
-/// charged after its run pays for every projection that run made.
+inline std::size_t footprint(const core::ConstraintSet& constraints) {
+  return constraints.size() *
+         (sizeof(std::pair<const core::TimingConstraint, int>) +
+          kMapNodeBytes);
+}
+
+/// One memoized job outcome slot: its covers and its derivation, each in
+/// its own make_shared block.
+inline std::size_t footprint(const core::JobOutcome& outcome) {
+  std::size_t total = sizeof(core::JobOutcome);
+  if (outcome.covers != nullptr)
+    total += kControlBlockBytes + sizeof(core::JobCovers) +
+             slab_bytes(outcome.covers->up) + slab_bytes(outcome.covers->down);
+  if (outcome.derivation != nullptr)
+    total += kControlBlockBytes + sizeof(core::JobDerivation) +
+             footprint(outcome.derivation->before) +
+             footprint(outcome.derivation->after);
+  return total;
+}
+
+/// The decomposition with its memoized local STGs and job outcomes as they
+/// stand now. The memo holds at most one projection and one outcome per
+/// job, so an entry charged after its run pays for every projection and
+/// outcome that run left.
 inline std::size_t footprint(const core::FlowDecomposition& decomposition) {
   std::size_t total = slab_bytes(decomposition.initial_values) +
                       slab_bytes(decomposition.jobs) +
@@ -102,13 +123,12 @@ inline std::size_t footprint(const core::FlowDecomposition& decomposition) {
              slab_bytes(memoized.kept) +
              sizeof(std::shared_ptr<const stg::MgStg>) + kControlBlockBytes +
              footprint(*memoized.local);
+  // One map node per memoized outcome: the (component, output) key and
+  // the slot.
+  for (const core::MemoizedOutcome& memoized :
+       decomposition.memoized_outcomes())
+    total += kMapNodeBytes + 2 * sizeof(int) + footprint(memoized.outcome);
   return total;
-}
-
-inline std::size_t footprint(const core::ConstraintSet& constraints) {
-  return constraints.size() *
-         (sizeof(std::pair<const core::TimingConstraint, int>) +
-          kMapNodeBytes);
 }
 
 inline std::size_t footprint(const core::ReportConstraint& constraint) {

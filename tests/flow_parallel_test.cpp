@@ -3,10 +3,13 @@
 // (the merge is in stable job order and every job is a pure function of
 // its index), and verify_speed_independent must name the same first
 // offender, whether its local SGs come from a fresh or an already warm
-// SgCache. Also covers the structured FlowReport serializers the batch
-// driver prints.
+// SgCache, and whatever job outcomes the decomposition already memoized
+// (edits, racing editors, the step budget, expand options and traces).
+// Also covers the structured FlowReport serializers the batch driver
+// prints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "base/metrics.hpp"
 #include "base/thread_pool.hpp"
 #include "benchdata/benchmarks.hpp"
+#include "boolfn/eqn.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "sg/sg_cache.hpp"
@@ -56,6 +60,56 @@ circuit::Circuit duplicate_first_cube(const circuit::Circuit& circuit,
   circuit::Circuit edited = circuit::Circuit::from_equations(&stg.signals, eqn);
   EXPECT_NE(edited.to_eqn(), circuit.to_eqn());
   return edited;
+}
+
+/// `circuit`'s netlist with gate `gate`'s up-cover replaced by `cubes`.
+std::string netlist_with(const circuit::Circuit& circuit, std::size_t gate,
+                         std::vector<boolfn::Cube> cubes) {
+  std::vector<boolfn::Equation> equations;
+  for (const circuit::Gate& each : circuit.gates())
+    equations.push_back({each.output, each.up});
+  equations[gate].cover.cubes = std::move(cubes);
+  return boolfn::write_eqn(equations, circuit.signals().names());
+}
+
+/// The single-gate edits a designer makes, as wirebench's edit_loop does:
+/// for every gate, its cubes reordered (a lone cube duplicated) and, when
+/// some cube reads the gate's own output, those hold terms dropped.
+std::vector<std::string> single_gate_edits(const circuit::Circuit& circuit) {
+  std::vector<std::string> edits;
+  for (std::size_t g = 0; g < circuit.gates().size(); ++g) {
+    const circuit::Gate& gate = circuit.gates()[g];
+    std::vector<boolfn::Cube> reordered = gate.up.cubes;
+    if (reordered.size() > 1)
+      std::rotate(reordered.begin(), reordered.begin() + 1, reordered.end());
+    else
+      reordered.push_back(reordered.front());
+    edits.push_back(netlist_with(circuit, g, reordered));
+    std::vector<boolfn::Cube> held;
+    for (const boolfn::Cube& cube : gate.up.cubes)
+      if ((cube.support() >> gate.output & 1) == 0) held.push_back(cube);
+    if (!held.empty() && held.size() < gate.up.cubes.size())
+      edits.push_back(netlist_with(circuit, g, held));
+  }
+  return edits;
+}
+
+/// The verdict and, when speed independent, the canonical report of one
+/// netlist on `decomposition` (or the error either phase threw).
+std::string verify_then_derive(const core::FlowDecomposition& decomposition,
+                               const stg::Stg& stg,
+                               const circuit::Circuit& circuit,
+                               const core::FlowOptions& options) {
+  try {
+    const std::string offender =
+        core::verify_speed_independent(decomposition, circuit, options);
+    if (!offender.empty()) return "offender " + offender;
+    return canonical(core::derive_timing_constraints(decomposition, stg,
+                                                     circuit, options),
+                     stg.signals);
+  } catch (const std::exception& error) {
+    return std::string("error ") + error.what();
+  }
 }
 
 TEST_P(ParallelFlow, MemoizedLocalStgsEqualFreshProjections) {
@@ -139,6 +193,42 @@ TEST_P(ParallelFlow, ReportsAreByteIdenticalWhateverFilledTheMemo) {
   }
 }
 
+TEST_P(ParallelFlow, SingleGateEditsOnASharedDecompositionMatchFreshOnes) {
+  // One decomposition serves the design and every single-gate edit of it
+  // in turn, as the service shares it among the versions of one STG: each
+  // edit finds the outcomes of its unchanged gates memoized (and the
+  // edited gate's slot holding another version), and must still give the
+  // verdict and report of a fresh decomposition.
+  const auto& bench = benchdata::benchmark(GetParam());
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  std::vector<std::string> netlists = {circuit.to_eqn()};
+  for (const std::string& edit : single_gate_edits(circuit))
+    netlists.push_back(edit);
+  netlists.push_back(circuit.to_eqn());  // back to the original
+
+  base::ThreadPool pool(4);
+  const core::FlowDecomposition shared = core::decompose_flow(stg, circuit);
+  for (const int jobs : {1, 4}) {
+    const core::FlowOptions options{.jobs = jobs, .pool = &pool};
+    base::MetricCounter hits;
+    core::FlowOptions counted = options;
+    counted.derive_outcome_hits = &hits;
+    for (const std::string& eqn : netlists) {
+      const circuit::Circuit edited =
+          circuit::Circuit::from_equations(&stg.signals, eqn);
+      EXPECT_EQ(verify_then_derive(shared, stg, edited, counted),
+                verify_then_derive(core::decompose_flow(stg, edited), stg,
+                                   edited, options))
+          << bench.name << ", jobs " << jobs << ", netlist\n"
+          << eqn;
+    }
+    if (netlists.size() > 2 && shared.jobs.size() > 1)
+      EXPECT_GT(hits.value(), 0) << bench.name << ", jobs " << jobs;
+  }
+  EXPECT_LE(shared.memoized_outcomes().size(), shared.jobs.size());
+}
+
 TEST_P(ParallelFlow, ConstraintSetsAreIdenticalForAnyJobCount) {
   const auto& bench = benchdata::benchmark(GetParam());
   const stg::Stg stg = benchdata::load_stg(bench);
@@ -188,10 +278,7 @@ TEST_P(ParallelFlow, VerifyServesRepeatedLocalSgsFromTheCache) {
   const auto& bench = benchdata::benchmark(GetParam());
   const stg::Stg stg = benchdata::load_stg(bench);
   const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
-  const core::FlowDecomposition decomposition =
-      core::decompose_flow(stg, circuit);
-  const std::string uncached =
-      core::verify_speed_independent(decomposition, circuit);
+  const std::string uncached = core::verify_speed_independent(stg, circuit);
   ASSERT_EQ(uncached, "") << bench.name;  // every job looks its SG up
 
   base::ThreadPool pool(4);
@@ -199,38 +286,55 @@ TEST_P(ParallelFlow, VerifyServesRepeatedLocalSgsFromTheCache) {
        {core::FlowOptions{}, core::FlowOptions{.jobs = 4, .pool = &pool}}) {
     sg::SgCache cache;
     options.sg_cache = &cache;
+    const core::FlowDecomposition decomposition =
+        core::decompose_flow(stg, circuit);
     EXPECT_EQ(core::verify_speed_independent(decomposition, circuit, options),
               uncached);
     const long long lookups = cache.hits() + cache.misses();
     EXPECT_EQ(lookups, static_cast<long long>(decomposition.jobs.size()))
         << bench.name << " with " << options.jobs << " jobs";
+    // A fresh decomposition of the same design finds every local SG in
+    // the cache.
     const long long misses = cache.misses();
-    EXPECT_EQ(core::verify_speed_independent(decomposition, circuit, options),
+    EXPECT_EQ(core::verify_speed_independent(core::decompose_flow(stg, circuit),
+                                             circuit, options),
               uncached);
     EXPECT_EQ(cache.misses(), misses)
         << bench.name << " with " << options.jobs << " jobs";
     EXPECT_EQ(cache.hits() + cache.misses(), 2 * lookups)
         << bench.name << " with " << options.jobs << " jobs";
+    // The first decomposition remembers every verdict: a repeat asks the
+    // cache for nothing.
+    base::MetricCounter hits;
+    options.verify_outcome_hits = &hits;
+    EXPECT_EQ(core::verify_speed_independent(decomposition, circuit, options),
+              uncached);
+    EXPECT_EQ(cache.hits() + cache.misses(), 2 * lookups)
+        << bench.name << " with " << options.jobs << " jobs";
+    EXPECT_EQ(hits.value(), lookups) << bench.name;
   }
 }
 
-TEST(ParallelFlowVerify, CachedOffenderMatchesAnUncachedVerify) {
-  // csc0 without its hold cube (i8' * csc0) cannot keep its value: the
-  // edit is not speed independent, and every form of verify must name the
-  // same first offender.
-  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
-  const stg::Stg stg = benchdata::load_stg(bench);
+/// imec-ram-read-sbuf with csc0's hold cube (i8' * csc0) dropped: csc0
+/// cannot keep its value, so the netlist is not speed independent.
+circuit::Circuit without_csc0_hold(const benchdata::Benchmark& bench,
+                                   const stg::Stg& stg) {
   std::string eqn = bench.eqn;
   const std::string hold = " + i8' * csc0";
   const auto at = eqn.find(hold);
-  ASSERT_NE(at, std::string::npos);
-  eqn.erase(at, hold.size());
-  const circuit::Circuit circuit =
-      circuit::Circuit::from_equations(&stg.signals, eqn);
-  const core::FlowDecomposition decomposition =
-      core::decompose_flow(stg, circuit);
-  const std::string uncached =
-      core::verify_speed_independent(decomposition, circuit);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) eqn.erase(at, hold.size());
+  return circuit::Circuit::from_equations(&stg.signals, eqn);
+}
+
+TEST(ParallelFlowVerify, CachedOffenderMatchesAnUncachedVerify) {
+  // Every form of verify must name the same first offender: uncached, on
+  // a fresh decomposition building its local SGs, on a fresh decomposition
+  // reading them from a warm SgCache, and from the memoized verdicts.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = without_csc0_hold(bench, stg);
+  const std::string uncached = core::verify_speed_independent(stg, circuit);
   EXPECT_EQ(uncached, "csc0");
 
   base::ThreadPool pool(4);
@@ -238,13 +342,70 @@ TEST(ParallelFlowVerify, CachedOffenderMatchesAnUncachedVerify) {
        {core::FlowOptions{}, core::FlowOptions{.jobs = 4, .pool = &pool}}) {
     sg::SgCache cache;
     options.sg_cache = &cache;
-    for (int round = 0; round < 2; ++round)
-      EXPECT_EQ(core::verify_speed_independent(decomposition, circuit,
-                                               options),
-                uncached)
-          << options.jobs << " jobs, round " << round;
-    EXPECT_GT(cache.misses(), 0);
+    const std::string where = std::to_string(options.jobs) + " jobs";
+    EXPECT_EQ(core::verify_speed_independent(
+                  core::decompose_flow(stg, circuit), circuit, options),
+              uncached)
+        << where << ", building SGs";
+    const long long misses = cache.misses();
+    EXPECT_GT(misses, 0) << where;
+
+    const core::FlowDecomposition decomposition =
+        core::decompose_flow(stg, circuit);
+    const long long hits = cache.hits();
+    EXPECT_EQ(core::verify_speed_independent(decomposition, circuit, options),
+              uncached)
+        << where << ", SGs from the cache";
+    EXPECT_EQ(cache.misses(), misses) << where;
+    EXPECT_GT(cache.hits(), hits) << where;
+
+    base::MetricCounter memo_hits;
+    options.verify_outcome_hits = &memo_hits;
+    const long long lookups = cache.hits() + cache.misses();
+    EXPECT_EQ(core::verify_speed_independent(decomposition, circuit, options),
+              uncached)
+        << where << ", memoized verdicts";
+    EXPECT_EQ(cache.hits() + cache.misses(), lookups) << where;
+    EXPECT_GT(memo_hits.value(), 0) << where;
   }
+}
+
+TEST(ParallelFlowVerify, SerialVerifyStopsAtTheFirstOffender) {
+  // Serially, verify checks the jobs in order and stops at the offender:
+  // no job after it projects its local STG or has its verdict computed,
+  // and a repeat reads the verdicts up to the offender and no further.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = without_csc0_hold(bench, stg);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+  const int csc0 = circuit.signals().find("csc0");
+  const auto offender = std::find_if(
+      decomposition.jobs.begin(), decomposition.jobs.end(),
+      [&](const core::FlowJob& job) {
+        return circuit.gates()[job.gate].output == csc0;
+      });
+  ASSERT_NE(offender, decomposition.jobs.end());
+  const long long prefix = offender->index + 1;
+  ASSERT_LT(prefix, static_cast<long long>(decomposition.jobs.size()));
+
+  base::MetricCounter verdicts;
+  base::MetricCounter projections;
+  base::MetricCounter memo_hits;
+  const core::FlowOptions options{.local_stg_misses = &projections,
+                                  .verify_outcome_hits = &memo_hits,
+                                  .verify_outcome_misses = &verdicts};
+  EXPECT_EQ(core::verify_speed_independent(decomposition, circuit, options),
+            "csc0");
+  EXPECT_EQ(verdicts.value(), prefix);
+  EXPECT_EQ(projections.value(), prefix);
+  EXPECT_EQ(decomposition.memoized_outcomes().size(),
+            static_cast<std::size_t>(prefix));
+
+  EXPECT_EQ(core::verify_speed_independent(decomposition, circuit, options),
+            "csc0");
+  EXPECT_EQ(memo_hits.value(), prefix);
+  EXPECT_EQ(verdicts.value(), prefix);
 }
 
 std::vector<std::string> benchmark_names() {
@@ -262,6 +423,168 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ParallelFlow,
                              if (c == '-') c = '_';
                            return name;
                          });
+
+TEST(JobOutcomeMemo, TheStepBudgetTripsWhateverTheMemoHolds) {
+  // Memoized jobs charge their recorded steps to the per-flow max_steps
+  // budget: one step below a design's total, derive fails cold, after a
+  // failed run memoized every job it finished, and after a successful run
+  // memoized them all; at the total it succeeds everywhere with the same
+  // bytes.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const core::FlowResult reference =
+      core::derive_timing_constraints(stg, circuit);
+  const int total = reference.expand_steps;
+  ASSERT_GT(total, 1);
+
+  base::ThreadPool pool(4);
+  for (const int jobs : {1, 4}) {
+    core::FlowOptions tight{.jobs = jobs, .pool = &pool};
+    tight.expand.max_steps = total - 1;
+    core::FlowOptions exact = tight;
+    exact.expand.max_steps = total;
+    const auto derived = [](const core::FlowDecomposition& decomposition) {
+      const std::vector<core::MemoizedOutcome> memo =
+          decomposition.memoized_outcomes();
+      return std::count_if(memo.begin(), memo.end(), [](const auto& slot) {
+        return slot.outcome.derivation != nullptr;
+      });
+    };
+
+    const core::FlowDecomposition cold = core::decompose_flow(stg, circuit);
+    EXPECT_THROW(core::derive_timing_constraints(cold, stg, circuit, tight),
+                 core::ExpandLimitError)
+        << "cold, jobs " << jobs;
+    // The failed run kept what its finished jobs derived, and the retry
+    // still trips.
+    const long long finished = derived(cold);
+    EXPECT_LT(finished, static_cast<long long>(cold.jobs.size()));
+    EXPECT_THROW(core::derive_timing_constraints(cold, stg, circuit, tight),
+                 core::ExpandLimitError)
+        << "partly memoized, jobs " << jobs;
+    EXPECT_EQ(canonical(core::derive_timing_constraints(cold, stg, circuit,
+                                                        exact),
+                        stg.signals),
+              canonical(reference, stg.signals))
+        << "partly memoized, jobs " << jobs;
+
+    // Every job memoized: the charge alone exceeds the budget.
+    const core::FlowDecomposition warm = core::decompose_flow(stg, circuit);
+    const core::FlowResult first =
+        core::derive_timing_constraints(warm, stg, circuit, exact);
+    EXPECT_EQ(derived(warm), static_cast<long long>(warm.jobs.size()));
+    EXPECT_THROW(core::derive_timing_constraints(warm, stg, circuit, tight),
+                 core::ExpandLimitError)
+        << "memoized, jobs " << jobs;
+    const core::FlowResult again =
+        core::derive_timing_constraints(warm, stg, circuit, exact);
+    EXPECT_EQ(canonical(again, stg.signals), canonical(first, stg.signals));
+    EXPECT_EQ(canonical(again, stg.signals), canonical(reference, stg.signals));
+    // The memoized steps count against the budget, not as work done.
+    EXPECT_EQ(first.expand_steps, total);
+    EXPECT_EQ(again.expand_steps, 0);
+  }
+}
+
+TEST(JobOutcomeMemo, OptionsThatShapeTheAnswerMissAndATraceBypasses) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+  const long long jobs = static_cast<long long>(decomposition.jobs.size());
+  base::MetricCounter hits;
+  base::MetricCounter misses;
+  core::FlowOptions options{.derive_outcome_hits = &hits,
+                            .derive_outcome_misses = &misses};
+  const auto run = [&](const core::FlowOptions& run_options) {
+    return canonical(core::derive_timing_constraints(decomposition, stg,
+                                                     circuit, run_options),
+                     stg.signals);
+  };
+  const std::string first = run(options);
+  EXPECT_EQ(misses.value(), jobs);
+  EXPECT_EQ(run(options), first);
+  EXPECT_EQ(hits.value(), jobs);
+
+  // Another order or depth bound is another derivation.
+  core::FlowOptions loosest = options;
+  loosest.expand.order = core::ExpandOptions::OrderPolicy::loosest_first;
+  core::FlowOptions cold_loosest;
+  cold_loosest.expand.order = loosest.expand.order;
+  EXPECT_EQ(run(loosest),
+            canonical(core::derive_timing_constraints(stg, circuit,
+                                                      cold_loosest),
+                      stg.signals));
+  EXPECT_EQ(misses.value(), 2 * jobs);
+  core::FlowOptions deeper = options;
+  deeper.expand.max_depth += 1;
+  EXPECT_EQ(run(deeper), first);
+  EXPECT_EQ(misses.value(), 3 * jobs);
+
+  // A trace sees every relaxation step: nothing is read from the memo.
+  std::string trace;
+  core::FlowOptions traced = deeper;
+  traced.expand.trace = &trace;
+  EXPECT_EQ(run(traced), first);
+  EXPECT_EQ(hits.value(), jobs);
+  EXPECT_FALSE(trace.empty());
+  EXPECT_EQ(run(deeper), first);
+  EXPECT_EQ(hits.value(), 2 * jobs);
+}
+
+TEST(JobOutcomeMemo, FourEditorsRacingOnOneDecompositionGetColdAnswers) {
+  // Four threads verify and derive different single-gate edits of one
+  // design on one shared decomposition at once, so outcome slots are read
+  // while other threads replace them with other versions' outcomes.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  std::vector<std::string> netlists = {circuit.to_eqn()};
+  for (const std::string& edit : single_gate_edits(circuit))
+    netlists.push_back(edit);
+  std::vector<circuit::Circuit> circuits;
+  std::vector<std::string> cold;
+  for (const std::string& eqn : netlists) {
+    circuits.push_back(circuit::Circuit::from_equations(&stg.signals, eqn));
+    const circuit::Circuit& edited = circuits.back();
+    cold.push_back(verify_then_derive(core::decompose_flow(stg, edited), stg,
+                                      edited, {}));
+  }
+
+  const core::FlowDecomposition shared = core::decompose_flow(stg, circuit);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2;
+  base::ThreadPool pool(2);
+  sg::SgCache cache;
+  std::vector<std::vector<std::string>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const core::FlowOptions options{
+          .jobs = 1 + t % 2, .pool = &pool, .sg_cache = &cache};
+      for (int round = 0; round < kRounds; ++round)
+        for (std::size_t i = 0; i < circuits.size(); ++i) {
+          const std::size_t n = (i * (t + 1) + t) % circuits.size();
+          answers[t].push_back(std::to_string(n) + '\x1f' +
+                               verify_then_derive(shared, stg, circuits[n],
+                                                  options));
+        }
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(answers[t].size(), kRounds * circuits.size());
+    for (const std::string& answer : answers[t]) {
+      const auto split = answer.find('\x1f');
+      EXPECT_EQ(answer.substr(split + 1),
+                cold[std::stoul(answer.substr(0, split))])
+          << "thread " << t;
+    }
+  }
+  EXPECT_LE(shared.memoized_outcomes().size(), shared.jobs.size());
+}
 
 TEST(ParallelFlowStats, JobStatisticsAreFilled) {
   const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
@@ -334,22 +657,6 @@ TEST(ParallelFlowStats, TraceForcesSerialSchedule) {
   EXPECT_FALSE(trace.empty());
 }
 
-TEST(ForEachLocalStg, SerialEarlyStopVisitsPrefixOnly) {
-  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
-  const stg::Stg stg = benchdata::load_stg(bench);
-  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
-  const core::FlowDecomposition decomposition =
-      core::decompose_flow(stg, circuit);
-  ASSERT_GT(decomposition.jobs.size(), 4u);
-  int visits = 0;
-  core::for_each_local_stg(decomposition, circuit,
-                           [&](const core::FlowJob& job, stg::MgStg) {
-                             ++visits;
-                             return job.index < 3;
-                           });
-  EXPECT_EQ(visits, 4);  // jobs 0..3; job 3 returned false
-}
-
 TEST(LocalStgMemo, ThreadsSharingOneDecompositionAgree) {
   // One decomposition, as the service shares it among the designs of one
   // STG: every thread verifies then derives on it at once, on a shared
@@ -367,6 +674,8 @@ TEST(LocalStgMemo, ThreadsSharingOneDecompositionAgree) {
   sg::SgCache cache;
   base::MetricCounter hits;
   base::MetricCounter misses;
+  base::MetricCounter outcome_hits[2];
+  base::MetricCounter outcome_misses[2];
   std::vector<std::string> verdicts(kThreads);
   std::vector<std::string> reports(kThreads);
   std::vector<std::thread> threads;
@@ -376,7 +685,13 @@ TEST(LocalStgMemo, ThreadsSharingOneDecompositionAgree) {
                                       .pool = &pool,
                                       .sg_cache = &cache,
                                       .local_stg_hits = &hits,
-                                      .local_stg_misses = &misses};
+                                      .local_stg_misses = &misses,
+                                      .verify_outcome_hits = &outcome_hits[0],
+                                      .verify_outcome_misses =
+                                          &outcome_misses[0],
+                                      .derive_outcome_hits = &outcome_hits[1],
+                                      .derive_outcome_misses =
+                                          &outcome_misses[1]};
       verdicts[i] =
           core::verify_speed_independent(decomposition, circuit, options);
       reports[i] = canonical(core::derive_timing_constraints(
@@ -389,10 +704,22 @@ TEST(LocalStgMemo, ThreadsSharingOneDecompositionAgree) {
     EXPECT_EQ(verdicts[i], "") << "thread " << i;
     EXPECT_EQ(reports[i], reference) << "thread " << i;
   }
-  // One lookup per job per phase per thread; racing misses may project a
-  // key twice, but the memo keeps one projection per key.
+  // One outcome lookup per job per phase per thread; only the outcomes
+  // the memo missed (at least one thread's worth, more when threads race)
+  // look their local STG up. Racing misses may project a key twice, but
+  // the memo keeps one projection per key.
   const long long jobs = static_cast<long long>(decomposition.jobs.size());
-  EXPECT_EQ(hits.value() + misses.value(), 2 * kThreads * jobs);
+  long long outcome_misses_total = 0;
+  for (int phase = 0; phase < 2; ++phase) {
+    EXPECT_EQ(outcome_hits[phase].value() + outcome_misses[phase].value(),
+              kThreads * jobs)
+        << "phase " << phase;
+    EXPECT_GE(outcome_misses[phase].value(), jobs) << "phase " << phase;
+    outcome_misses_total += outcome_misses[phase].value();
+  }
+  EXPECT_EQ(hits.value() + misses.value(), outcome_misses_total);
+  EXPECT_EQ(decomposition.memoized_outcomes().size(),
+            static_cast<std::size_t>(jobs));
   const long long keys =
       static_cast<long long>(decomposition.memoized_local_stgs().size());
   EXPECT_LE(keys, jobs);

@@ -4,16 +4,23 @@
 // a cold run at any worker count. Also covers sharing between netlist-free
 // and explicit entries and across gate orders, sharing under budgets that
 // hold one design, the lifetime of a shared decomposition, concurrent edit
-// and netlist races, and the counters of an edit session under a tight
-// budget.
+// and netlist races, the counters of an edit session under a tight budget,
+// and a derive that fails mid-run on a decomposition whose job outcomes
+// are memoized.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/fault.hpp"
 #include "benchdata/benchmarks.hpp"
+#include "core/phase.hpp"
+#include "core/report.hpp"
+#include "sg/sg_cache.hpp"
 #include "svc/analysis_service.hpp"
 
 namespace sitime {
@@ -501,6 +508,74 @@ TEST(IncrementalService, NetlistFreeAndExplicitRacesMatchColdReportsByteForByte)
     }
     EXPECT_EQ(service.stats().failures, 0);
   }
+}
+
+TEST(IncrementalFaults, AFailedDeriveJobStoresNoOutcomeAndTheRetryIsCold) {
+  if (!base::fault_injection_compiled_in())
+    GTEST_SKIP() << "built without SITIME_FAULTS";
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const auto artifacts_of = [&bench] {
+    core::PhaseArtifacts artifacts;
+    auto stg = std::make_shared<const stg::Stg>(benchdata::load_stg(bench));
+    artifacts.circuit = std::make_shared<const circuit::Circuit>(
+        benchdata::load_circuit(bench, *stg));
+    artifacts.stg = std::move(stg);
+    core::run_decompose_phase(artifacts);
+    core::run_verify_phase(artifacts);
+    return artifacts;
+  };
+  const auto canonical = [](const core::PhaseArtifacts& artifacts) {
+    return core::to_canonical_json(core::make_flow_report(
+        "", artifacts.result, artifacts.stg->signals));
+  };
+
+  // A cold derive, counting its local-SG builds (each polls sg_build).
+  core::PhaseArtifacts cold = artifacts_of();
+  std::uint64_t builds = 0;
+  {
+    base::FaultScope count(base::FaultPoint::sg_build, ~0ull);
+    sg::SgCache cache;
+    core::run_derive_phase(cold, {.sg_cache = &cache});
+    builds = base::FaultInjector::instance().polls(base::FaultPoint::sg_build);
+  }
+  ASSERT_GT(builds, 4u);
+
+  // The same derive, serial, failing at a build in its middle half (the
+  // fault sweep's seed picks which).
+  core::PhaseArtifacts failed = artifacts_of();
+  const std::uint64_t nth =
+      builds / 4 + 1 + base::fault_env_seed(1) % (builds / 2);
+  sg::SgCache cache;
+  {
+    base::FaultScope fault(base::FaultPoint::sg_build, nth);
+    EXPECT_THROW(core::run_derive_phase(failed, {.sg_cache = &cache}),
+                 base::FaultInjectedError)
+        << "build " << nth << " of " << builds;
+  }
+  ASSERT_EQ(failed.completed, core::Phase::verified);
+
+  // Jobs run in order: those before the failing one stored their
+  // derivation, the failing one and those after it stored none.
+  const core::FlowDecomposition& decomposition = *failed.decomposition;
+  std::vector<bool> derived(decomposition.jobs.size(), false);
+  for (const core::MemoizedOutcome& slot : decomposition.memoized_outcomes())
+    for (const core::FlowJob& job : decomposition.jobs)
+      if (job.component == slot.component &&
+          failed.circuit->gates()[job.gate].output == slot.output)
+        derived[job.index] = slot.outcome.derivation != nullptr;
+  const auto first_missing =
+      std::find(derived.begin(), derived.end(), false) - derived.begin();
+  ASSERT_LT(first_missing, static_cast<long>(derived.size()));
+  for (std::size_t index = 0; index < derived.size(); ++index)
+    EXPECT_EQ(derived[index], static_cast<long>(index) < first_missing)
+        << "job " << index;
+
+  // The retry reads the finished jobs back, runs the rest, and answers
+  // byte for byte as the cold run did.
+  core::run_derive_phase(failed, {.sg_cache = &cache});
+  EXPECT_EQ(canonical(failed), canonical(cold));
+  for (const core::MemoizedOutcome& slot : decomposition.memoized_outcomes())
+    EXPECT_NE(slot.outcome.derivation, nullptr);
 }
 
 /// A scripted editor session over three designs: verify then derive (a

@@ -872,6 +872,61 @@ TEST(LocalStgMemoService, VerifyProjectsEachJobOnceAndChargesTheMemo) {
   EXPECT_EQ(sample(text, "sitime_local_stg_memo_hits_total"), jobs);
 }
 
+TEST(JobOutcomeMemoService, AnEditRerunsOnlyItsGateAndTheOutcomesAreCharged) {
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+  ASSERT_EQ(core::verify_speed_independent(decomposition, circuit), "");
+  const std::size_t verified = svc::footprint(decomposition);
+  core::derive_timing_constraints(decomposition, stg, circuit, {});
+  // The derivations are charged on top of the verdicts, each outcome as
+  // its own footprint plus its map node.
+  EXPECT_GT(svc::footprint(decomposition), verified);
+  std::size_t outcomes = 0;
+  for (const core::MemoizedOutcome& slot : decomposition.memoized_outcomes())
+    outcomes += svc::footprint(slot.outcome);
+  EXPECT_GE(svc::footprint(decomposition), outcomes);
+  ASSERT_EQ(decomposition.memoized_outcomes().size(),
+            decomposition.jobs.size());
+  const double jobs = static_cast<double>(decomposition.jobs.size());
+
+  // A cold derive computes every job's outcome; an edit of one gate of
+  // the same STG computes only that gate's (one job per MG component).
+  svc::AnalysisService service;
+  ASSERT_TRUE(service.analyze(bench_request(bench.name)).ok);
+  const auto counters = [&service](const char* outcome, const char* phase) {
+    return sample(service.metrics().render_prometheus(),
+                  std::string("sitime_job_outcome_memo_") + outcome +
+                      "_total{phase=\"" + phase + "\"}");
+  };
+  for (const char* phase : {"verify", "derive"}) {
+    EXPECT_EQ(counters("misses", phase), jobs) << phase;
+    EXPECT_EQ(counters("hits", phase), 0) << phase;
+  }
+  svc::AnalysisRequest edited = bench_request(bench.name);
+  const std::string gate = "ack = ";
+  const auto at = edited.eqn.find(gate);
+  ASSERT_NE(at, std::string::npos);
+  edited.eqn.insert(at + gate.size(), "i0' + ");
+  const svc::AnalysisResponse response = service.analyze(edited);
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(response.cache_state, "fresh");
+  const double components =
+      static_cast<double>(decomposition.component_stgs.size());
+  for (const char* phase : {"verify", "derive"}) {
+    EXPECT_EQ(counters("misses", phase), jobs + components) << phase;
+    EXPECT_EQ(counters("hits", phase), jobs - components) << phase;
+  }
+  svc::ServiceOptions off;
+  off.cache_budget_bytes = 0;
+  svc::AnalysisService cold(off);
+  const svc::AnalysisResponse reference = cold.analyze(edited);
+  ASSERT_TRUE(reference.ok) << reference.error;
+  EXPECT_EQ(*response.canonical_json, *reference.canonical_json);
+}
+
 TEST(LocalStgMemoService, ResidentBytesStayUnderATightBudget) {
   // Calibrate on an unlimited budget, then rerun the traffic (verify then
   // derive of every bundled design, then its netlist-free form, which
@@ -1093,6 +1148,35 @@ TEST(ExactBytesIndex, TheIndexCopyIsChargedToItsEntry) {
   ASSERT_TRUE(response.ok) << response.error;
   ASSERT_EQ(response.key, reference.key);
   EXPECT_GE(padded.stats().bytes, plain.stats().bytes + padding.size());
+}
+
+TEST(ExactBytesIndex, AnSTGCommentLeavesNoSlackInTheChargedKey) {
+  // The same design sent behind a 20 000-byte STG comment and bare, with
+  // the bare request's netlist padded so both request texts (and so both
+  // exact-bytes index copies) are equally long. The entries parse to the
+  // same STG, netlist and key, so the charges can differ only by slack
+  // left in the canonical key.
+  const std::string comment = "#" + std::string(20000, 'x') + "\n";
+  svc::AnalysisRequest padded = bench_request("imec-ram-read-sbuf");
+  padded.astg = comment + padded.astg;
+  svc::AnalysisRequest bare = bench_request("imec-ram-read-sbuf");
+  bare.eqn += std::string(comment.size() +
+                              std::to_string(padded.astg.size()).size() -
+                              std::to_string(bare.astg.size()).size(),
+                          '\n');
+  ASSERT_EQ(std::to_string(padded.astg.size()).size() + padded.astg.size() +
+                padded.eqn.size(),
+            std::to_string(bare.astg.size()).size() + bare.astg.size() +
+                bare.eqn.size());
+
+  svc::AnalysisService padded_service;
+  const svc::AnalysisResponse padded_response = padded_service.analyze(padded);
+  ASSERT_TRUE(padded_response.ok) << padded_response.error;
+  svc::AnalysisService bare_service;
+  const svc::AnalysisResponse bare_response = bare_service.analyze(bare);
+  ASSERT_TRUE(bare_response.ok) << bare_response.error;
+  ASSERT_EQ(padded_response.key, bare_response.key);
+  EXPECT_EQ(padded_service.stats().bytes, bare_service.stats().bytes);
 }
 
 TEST(ExactBytesIndex, ParseFaultStillFiresOnAByteExactRepeat) {

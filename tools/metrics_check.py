@@ -266,6 +266,24 @@ def main():
     assert memo["misses"] > 0, memo
     assert memo["hits"] >= memo["misses"], memo
 
+    # The job-outcome memo: each cold design's verify and derive computed
+    # every job's outcome (misses; a cold derive finds only verdicts), and
+    # the warm pass runs no phase, so neither family moves between the
+    # scrapes.
+    for outcome in ("hits", "misses"):
+        family = f"sitime_job_outcome_memo_{outcome}_total"
+        assert typed2.get(family) == "counter", (family, typed2.get(family))
+        for phase in ("verify", "derive"):
+            labels = f'phase="{phase}"'
+            assert counter_value(scrape2, family, labels) == counter_value(
+                scrape1, family, labels
+            ), (family, phase, scrape1, scrape2)
+    for phase in ("verify", "derive"):
+        misses = counter_value(
+            scrape2, "sitime_job_outcome_memo_misses_total", f'phase="{phase}"'
+        )
+        assert misses > 0, (phase, misses)
+
     # The exact-bytes index: the cold pass sent each design's bytes once,
     # so nothing matched; every warm request repeats its cold request's
     # bytes and skips the parse.
@@ -296,6 +314,12 @@ def main():
     )
     assert "sitime_disk_store_loads_total" in typed_catalog, typed_catalog
     assert "sitime_exact_request_hits_total" in typed_catalog, typed_catalog
+    assert "sitime_job_outcome_memo_hits_total" in typed_catalog, (
+        typed_catalog
+    )
+    assert "sitime_job_outcome_memo_misses_total" in typed_catalog, (
+        typed_catalog
+    )
 
     print(
         f"metrics OK: {len(BENCHES)} designs cold+warm, 2 scrapes "

@@ -29,8 +29,10 @@ while the STG stays put). The edited passes must all run "fresh" (no
 design-cache hit), must each share the decomposition a resident entry of
 the same STG already holds (decomp_hits grows by exactly the number of
 edits and decompose_runs does not move — the netlist-only edits never
-rebuild the global SG), and must produce reports byte-identical to the
-same edits on a second, cold server process.
+rebuild the global SG), must find the derive outcomes of their unchanged
+gates memoized (sitime_job_outcome_memo_hits_total{phase="derive"} > 0
+in a final {"metrics": true} scrape), and must produce reports
+byte-identical to the same edits on a second, cold server process.
 """
 import glob
 import json
@@ -179,8 +181,10 @@ def mutate_check(serve, design_dir):
             )
     assert edits, f"no dumped netlists (*.eqn) to mutate in {design_dir}"
 
-    # Warm server: suite first (primes both cache tiers), then the edits.
-    lines = run_serve(serve, suite + edits)
+    # Warm server: suite first (primes both cache tiers), then the edits,
+    # then one metrics scrape.
+    lines = run_serve(serve, suite + edits + [{"id": "m", "metrics": True}])
+    scrape = lines.pop()["metrics"]
     replay, edited = lines[: len(suite)], lines[len(suite):]
     # Every edit must MISS the design cache (the text changed) ...
     not_fresh = [
@@ -199,6 +203,17 @@ def mutate_check(serve, design_dir):
         after["decompose_runs"],
     )
 
+    # Each edit changed one gate, so the jobs of its other gates found
+    # their derive outcome memoized on the shared decomposition.
+    derive_hits = sum(
+        float(line.split()[-1])
+        for line in scrape.splitlines()
+        if line.startswith(
+            'sitime_job_outcome_memo_hits_total{phase="derive"}'
+        )
+    )
+    assert derive_hits > 0, scrape
+
     # Cold server: the same edits with nothing primed. The reports must be
     # byte-identical — a reused decomposition can never change an output
     # byte.
@@ -212,7 +227,8 @@ def mutate_check(serve, design_dir):
     print(
         f"serve mutate OK: {len(suite)} designs replayed, "
         f"{len(edits)} single-gate edits all fresh with {decomp_hits} "
-        f"decomposition reuses (no global-SG rebuild), reports "
+        f"decomposition reuses (no global-SG rebuild) and "
+        f"{int(derive_hits)} memoized derive jobs, reports "
         f"byte-identical to a cold server"
     )
     return 0
