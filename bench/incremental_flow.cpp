@@ -5,7 +5,7 @@
 // edited design shares the decomposition of its unchanged STG, skipping
 // the global-SG rebuild, reads the memoized outcomes of its unchanged
 // gates, and the process-wide sg::SgCache serves the state graphs the
-// re-expansion of the rest asks for). An edit never changes the gate
+// expansion of the edited gate asks for). An edit never changes the gate
 // count, so the delta lane, like the service, hands every edit the one
 // shared decomposition as is: its decompose time reads 0. Emits one JSON
 // document (committed as BENCH_incremental.json at the repo root) with a
@@ -13,12 +13,12 @@
 // lanes. "Render" is what the service does per derive: freeze the result
 // into a FlowReport and render its canonical JSON, the only form it keeps.
 // Each lane also reports its Algorithm 1 projections per edit: the cold
-// lane projects every job of its fresh decomposition, the delta lane finds
-// every job's local STG in the shared decomposition's memo. And each lane
-// reports its Expander runs per edit: the cold lane expands every job, the
-// delta lane only the jobs whose gate covers differ from the outcome the
-// shared decomposition memoized for them (the edited gate, and the gate
-// the previous edit changed back).
+// lane projects every job of its fresh decomposition once, the delta lane
+// finds the local STG of every job it runs in that job's memo slot. And
+// each lane reports its Expander runs per edit: the cold lane expands
+// every job, the delta lane only the jobs whose gate covers differ from
+// the outcome the shared decomposition memoized for them (the edited gate,
+// and the gate the previous edit changed back).
 //
 // The loop models a designer iterating on one gate of a finished design:
 // the STG is parsed once and stays fixed; each iteration re-parses the
@@ -40,6 +40,7 @@
 #include "circuit/circuit.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
+#include "host_load.hpp"
 #include "sg/sg_cache.hpp"
 
 namespace {
@@ -122,6 +123,7 @@ void print_phases(const char* prefix, const PhaseBreakdown& phases,
 
 int main() {
   using namespace sitime;
+  const sitime::bench::HostLoad host;
   constexpr int kRounds = 5;  // edit stream: kRounds distinct edits per gate
 
 
@@ -185,9 +187,10 @@ int main() {
     // the service shares one decomposition), prime it and a shared SG
     // cache with the unedited design, then replay the same edit stream.
     // Each edit derives against the shared decomposition: its unchanged
-    // gates' jobs read their memoized outcomes, and the expansion of the
-    // rest finds the state graphs of the unchanged local STGs in the
-    // shared cache, as a resident service's does.
+    // gates' jobs read their memoized outcomes without expanding, and the
+    // edited gate's jobs run on the local STGs of their memo slots and
+    // find in the shared cache the state graphs earlier runs built, as a
+    // resident service's do.
     sg::SgCache sg_cache;
     const core::FlowDecomposition cached =
         core::decompose_flow(stg, circuit);
@@ -255,8 +258,9 @@ int main() {
   std::printf("  ],\n");
   std::printf("  \"all_designs_speedup\": %.2f,\n",
               delta_all > 0 ? cold_all / delta_all : 0.0);
-  std::printf("  \"multi_gate_speedup\": %.2f\n",
+  std::printf("  \"multi_gate_speedup\": %.2f,\n",
               delta_multi > 0 ? cold_multi / delta_multi : 0.0);
-  std::printf("}\n");
+  host.print_json();
+  std::printf("\n}\n");
   return 0;
 }

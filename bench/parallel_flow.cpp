@@ -17,6 +17,7 @@
 #include "base/thread_pool.hpp"
 #include "benchdata/benchmarks.hpp"
 #include "core/flow.hpp"
+#include "host_load.hpp"
 #include "sim/montecarlo.hpp"
 
 namespace {
@@ -43,6 +44,7 @@ double time_flow(const sitime::stg::Stg& stg,
 
 int main() {
   using namespace sitime;
+  const sitime::bench::HostLoad host;
   const int threads = 4;
   base::ThreadPool pool(threads);
   const int repetitions = 5;
@@ -164,7 +166,7 @@ int main() {
     std::printf("  \"montecarlo\": {\"design\": \"imec-ram-read-sbuf\", "
                 "\"runs\": %d, \"threads1_seconds\": %.6f, "
                 "\"threads%d_seconds\": %.6f, \"speedup\": %.2f, "
-                "\"aggregates_identical\": %s}\n",
+                "\"aggregates_identical\": %s},\n",
                 options.runs, serial_seconds, threads, parallel_seconds,
                 parallel_seconds > 0 ? serial_seconds / parallel_seconds : 0.0,
                 serial.hazardous_runs == parallel.hazardous_runs &&
@@ -172,6 +174,7 @@ int main() {
                     ? "true"
                     : "false");
   }
-  std::printf("}\n");
+  host.print_json();
+  std::printf("\n}\n");
   return 0;
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "benchdata/benchmarks.hpp"
+#include "host_load.hpp"
 #include "svc/analysis_service.hpp"
 
 namespace {
@@ -74,6 +75,7 @@ WarmLane run_warm_lane(sitime::svc::AnalysisService& service,
 
 int main() {
   using namespace sitime;
+  const sitime::bench::HostLoad host;
   const auto& suite = benchdata::all_benchmarks();
   const int warm_rounds = 200;
 
@@ -147,13 +149,14 @@ int main() {
               sequential.entries, sequential.bytes);
   std::printf("  \"concurrent\": {\"clients\": %d, \"requests\": %zu, "
               "\"flow_runs\": %lld, \"coalesced\": %lld, \"hits\": %lld, "
-              "\"single_flight_held\": %s}\n",
+              "\"single_flight_held\": %s},\n",
               kClients, suite.size() * kClients, contended_stats.misses,
               contended_stats.coalesced, contended_stats.hits,
               contended_stats.misses ==
                       static_cast<long long>(suite.size())
                   ? "true"
                   : "false");
-  std::printf("}\n");
+  host.print_json();
+  std::printf("\n}\n");
   return 0;
 }

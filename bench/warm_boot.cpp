@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "benchdata/benchmarks.hpp"
+#include "host_load.hpp"
 #include "svc/analysis_service.hpp"
 
 namespace {
@@ -117,6 +118,7 @@ void print_lane(const char* name, const Lane& lane, bool last = false) {
 
 int main() {
   using namespace sitime;
+  const sitime::bench::HostLoad host;
 
   char dir_template[] = "/tmp/sitime_warm_boot_XXXXXX";
   const char* cache_dir = ::mkdtemp(dir_template);
@@ -168,8 +170,9 @@ int main() {
               warm.suite_seconds > 0
                   ? cold.suite_seconds / warm.suite_seconds
                   : 0.0);
-  std::printf("  \"spill_overhead_seconds\": %.6f\n",
+  std::printf("  \"spill_overhead_seconds\": %.6f,\n",
               spill.suite_seconds - cold.suite_seconds);
-  std::printf("}\n");
+  host.print_json();
+  std::printf("\n}\n");
   return 0;
 }

@@ -87,42 +87,6 @@ FlowDecomposition decompose_flow(const stg::Stg& impl,
   return decomposition;
 }
 
-std::shared_ptr<const stg::MgStg> FlowDecomposition::local_stg_of(
-    int component, const circuit::Gate& gate, bool* hit) const {
-  JobMemo::ProjectionKey key{component, gate.fanins};
-  std::vector<int>& kept = key.second;
-  kept.push_back(gate.output);
-  std::sort(kept.begin(), kept.end());
-  {
-    std::lock_guard<std::mutex> lock(memo.mutex_);
-    const auto found = memo.projections_.find(key);
-    if (found != memo.projections_.end()) {
-      if (hit != nullptr) *hit = true;
-      return found->second;
-    }
-  }
-  if (hit != nullptr) *hit = false;
-  // Projected outside the lock, by the free function (the one place the
-  // flow projects, so a profiler wrapping it sees every projection).
-  auto local = std::make_shared<const stg::MgStg>(
-      core::local_stg(component_stgs[component], gate));
-  std::lock_guard<std::mutex> lock(memo.mutex_);
-  const auto found = memo.projections_.find(key);
-  if (found != memo.projections_.end()) return found->second;
-  if (memo.projections_.size() < jobs.size())
-    memo.projections_.emplace(std::move(key), local);
-  return local;
-}
-
-std::vector<MemoizedLocalStg> FlowDecomposition::memoized_local_stgs() const {
-  std::vector<MemoizedLocalStg> snapshot;
-  std::lock_guard<std::mutex> lock(memo.mutex_);
-  snapshot.reserve(memo.projections_.size());
-  for (const auto& [key, local] : memo.projections_)
-    snapshot.push_back({key.first, key.second, local});
-  return snapshot;
-}
-
 std::vector<JobOutcome> FlowDecomposition::job_outcomes(
     const circuit::Circuit& circuit) const {
   std::vector<JobOutcome> outcomes(jobs.size());
@@ -138,7 +102,7 @@ std::vector<JobOutcome> FlowDecomposition::job_outcomes(
 
 void FlowDecomposition::remember_outcome(
     const FlowJob& job, const circuit::Gate& gate,
-    std::optional<bool> conformant,
+    std::shared_ptr<const stg::MgStg> local, std::optional<bool> conformant,
     std::shared_ptr<const JobDerivation> derivation) const {
   const JobMemo::OutcomeKey key{job.component, gate.output};
   std::lock_guard<std::mutex> lock(memo.mutex_);
@@ -148,10 +112,13 @@ void FlowDecomposition::remember_outcome(
     found = memo.outcomes_.emplace(key, JobOutcome{}).first;
   }
   JobOutcome& slot = found->second;
-  if (!slot.computed_from(gate))
-    slot = {std::make_shared<const JobCovers>(
-                JobCovers{gate.up.cubes, gate.down.cubes}),
-            std::nullopt, nullptr};
+  if (!slot.computed_from(gate)) {
+    if (!slot.projected_for(gate)) slot.local = std::move(local);
+    slot.covers = std::make_shared<const JobCovers>(
+        JobCovers{gate.up.cubes, gate.down.cubes, gate.fanins});
+    slot.conformant.reset();
+    slot.derivation = nullptr;
+  }
   if (conformant) slot.conformant = conformant;
   if (derivation != nullptr) slot.derivation = std::move(derivation);
 }
@@ -171,15 +138,22 @@ void count(base::MetricCounter* counter, long long delta) {
   if (counter != nullptr && delta > 0) counter->inc(delta);
 }
 
-/// The memoized local STG of `job`, counted on the options' counters.
-std::shared_ptr<const stg::MgStg> job_local_stg(
+/// The local STG a job that missed the outcome memo runs on: its slot's,
+/// when the slot was projected for the gate's fanins, else a fresh
+/// projection by the free function (the one place the flow projects, so a
+/// profiler wrapping it sees every projection). Counted on the options'
+/// local-STG counters.
+std::shared_ptr<const stg::MgStg> local_stg_for(
     const FlowDecomposition& decomposition, const FlowJob& job,
-    const circuit::Gate& gate, const FlowOptions& options) {
-  bool hit = false;
-  std::shared_ptr<const stg::MgStg> local =
-      decomposition.local_stg_of(job.component, gate, &hit);
-  count(hit ? options.local_stg_hits : options.local_stg_misses, 1);
-  return local;
+    const JobOutcome& slot, const circuit::Gate& gate,
+    const FlowOptions& options) {
+  if (slot.projected_for(gate)) {
+    count(options.local_stg_hits, 1);
+    return slot.local;
+  }
+  count(options.local_stg_misses, 1);
+  return std::make_shared<const stg::MgStg>(
+      local_stg(decomposition.component_stgs[job.component], gate));
 }
 
 /// Calls visit(job) for every job of `flow_jobs` (verify's and derive's
@@ -274,22 +248,17 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
       decomposition.jobs.size());
   std::vector<FlowJob> misses;
   int memoized_steps = 0;
-  if (memoize) {
-    const std::vector<JobOutcome> outcomes =
-        decomposition.job_outcomes(circuit);
-    for (const FlowJob& job : decomposition.jobs) {
-      const JobOutcome& outcome = outcomes[job.index];
-      if (outcome.derivation != nullptr &&
-          outcome.derivation->derived_with(options.expand) &&
-          outcome.computed_from(circuit.gates()[job.gate])) {
-        derivations[job.index] = outcome.derivation;
-        memoized_steps += outcome.derivation->steps;
-      } else {
-        misses.push_back(job);
-      }
+  const std::vector<JobOutcome> outcomes = decomposition.job_outcomes(circuit);
+  for (const FlowJob& job : decomposition.jobs) {
+    const JobOutcome& outcome = outcomes[job.index];
+    if (memoize && outcome.derivation != nullptr &&
+        outcome.derivation->derived_with(options.expand) &&
+        outcome.computed_from(circuit.gates()[job.gate])) {
+      derivations[job.index] = outcome.derivation;
+      memoized_steps += outcome.derivation->steps;
+    } else {
+      misses.push_back(job);
     }
-  } else {
-    misses = decomposition.jobs;
   }
   count(options.derive_outcome_hits,
         static_cast<long long>(decomposition.jobs.size() - misses.size()));
@@ -332,8 +301,10 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
       misses,
       [&](const FlowJob& job) {
         const circuit::Gate& gate = circuit.gates()[job.gate];
+        const std::shared_ptr<const stg::MgStg> projected = local_stg_for(
+            decomposition, job, outcomes[job.index], gate, options);
         // A copy: the job relaxes its local STG in place.
-        stg::MgStg local(*job_local_stg(decomposition, job, gate, options));
+        stg::MgStg local(*projected);
         auto out = std::make_shared<JobDerivation>();
         out->order = options.expand.order;
         out->max_depth = options.expand.max_depth;
@@ -350,7 +321,8 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
         out->steps = expander.steps();
         steps.fetch_add(out->steps, std::memory_order_relaxed);
         subtasks.fetch_add(expander.subtasks(), std::memory_order_relaxed);
-        if (memoize) decomposition.remember_outcome(job, gate, {}, out);
+        if (memoize)
+          decomposition.remember_outcome(job, gate, projected, {}, out);
         derivations[job.index] = std::move(out);
         return true;
       },
@@ -391,26 +363,23 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
   options.cancel.poll("flow job dispatch");
   int memoized_bad = std::numeric_limits<int>::max();
   std::vector<FlowJob> misses;
-  {
-    const std::vector<JobOutcome> outcomes =
-        decomposition.job_outcomes(circuit);
-    for (const FlowJob& job : decomposition.jobs) {
-      const JobOutcome& outcome = outcomes[job.index];
-      if (!outcome.conformant ||
-          !outcome.computed_from(circuit.gates()[job.gate])) {
-        misses.push_back(job);
-      } else if (!*outcome.conformant) {
-        memoized_bad = job.index;
-        break;
-      }
+  const std::vector<JobOutcome> outcomes = decomposition.job_outcomes(circuit);
+  for (const FlowJob& job : decomposition.jobs) {
+    const JobOutcome& outcome = outcomes[job.index];
+    if (!outcome.conformant ||
+        !outcome.computed_from(circuit.gates()[job.gate])) {
+      misses.push_back(job);
+    } else if (!*outcome.conformant) {
+      memoized_bad = job.index;
+      break;
     }
-    const long long looked_up =
-        memoized_bad == std::numeric_limits<int>::max()
-            ? static_cast<long long>(decomposition.jobs.size())
-            : memoized_bad + 1;
-    count(options.verify_outcome_hits,
-          looked_up - static_cast<long long>(misses.size()));
   }
+  const long long looked_up =
+      memoized_bad == std::numeric_limits<int>::max()
+          ? static_cast<long long>(decomposition.jobs.size())
+          : memoized_bad + 1;
+  count(options.verify_outcome_hits,
+        looked_up - static_cast<long long>(misses.size()));
   std::atomic<int> first_bad{memoized_bad};
   sg::SgCache private_cache;  // per-run fallback, as in derive
   sg::SgCache& cache =
@@ -422,12 +391,13 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
           return true;  // cannot improve the answer
         count(options.verify_outcome_misses, 1);
         const circuit::Gate& gate = circuit.gates()[job.gate];
-        const std::shared_ptr<const stg::MgStg> local =
-            job_local_stg(decomposition, job, gate, options);
+        std::shared_ptr<const stg::MgStg> local = local_stg_for(
+            decomposition, job, outcomes[job.index], gate, options);
         const std::shared_ptr<const sg::StateGraph> graph =
             cache.get_or_build(*local, options.cancel);
         const bool conformant = timing_conformant(*graph, *local, gate);
-        decomposition.remember_outcome(job, gate, conformant, nullptr);
+        decomposition.remember_outcome(job, gate, std::move(local),
+                                       conformant, nullptr);
         if (conformant) return true;
         int current = first_bad.load(std::memory_order_relaxed);
         while (job.index < current &&

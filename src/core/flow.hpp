@@ -17,9 +17,10 @@
 //
 // A job's local STG depends only on its component and the gate's signal
 // set, and its verdict and constraints only on that local STG and the
-// gate's covers, so the decomposition memoizes both: the verify and derive
-// phases, and every netlist of one STG that shares the decomposition,
-// project each job once and verify or derive each unchanged gate once.
+// gate's covers, so the decomposition keeps one memo slot per job holding
+// all three: the verify and derive phases, and every netlist of one STG
+// that shares the decomposition, project each job once and verify or
+// derive each unchanged gate once.
 #pragma once
 
 #include <map>
@@ -102,9 +103,10 @@ struct FlowOptions {
   /// later uncancelled run yields the canonical answer. Also copied into
   /// expand.cancel (an explicitly set expand.cancel wins).
   CancelToken cancel;
-  /// When set, bumped once per job whose local STG the decomposition's
-  /// memo already held / had to project (FlowDecomposition::local_stg_of).
-  /// The service points them at its registry counters.
+  /// When set, bumped once per verify / derive job the outcome memo
+  /// missed whose memo slot already held / did not hold the local STG for
+  /// the gate's fanins (a miss projects it). The service points them at
+  /// its registry counters.
   base::MetricCounter* local_stg_hits = nullptr;
   base::MetricCounter* local_stg_misses = nullptr;
   /// When set, bumped once per verify / derive job whose outcome the
@@ -124,15 +126,6 @@ struct FlowJob {
   int gate = -1;       // index into Circuit::gates()
 };
 
-/// One memoized projection: the local STG, on MG component `component`,
-/// of every gate whose kept-signal set {output} ∪ fanins is `kept`
-/// (ascending signal ids).
-struct MemoizedLocalStg {
-  int component = -1;
-  std::vector<int> kept;
-  std::shared_ptr<const stg::MgStg> local;
-};
-
 /// A derive job's share of the answer: its type-4 baseline and relaxed
 /// constraints, the relaxation steps they took, and the expand options
 /// that shape them.
@@ -149,19 +142,23 @@ struct JobDerivation {
 };
 
 /// The gate covers, cube for cube, a memoized job outcome was computed
-/// from. Equal covers mean an equal job: the local STG follows from their
-/// support.
+/// from, and the fanins they support. Equal covers mean an equal job; equal
+/// fanins, an equal local STG.
 struct JobCovers {
   std::vector<boolfn::Cube> up;
   std::vector<boolfn::Cube> down;
+  std::vector<int> fanins;
 };
 
-/// The memoized outcome of one (component × gate output) job: its verify
-/// verdict and its derivation, and the covers both were computed from.
-/// The covers are copied once, by whichever phase first finishes the job
-/// for them; the other phase attaches its part to the same slot.
+/// The memo slot of one (component × gate output) job: the local STG it
+/// was projected onto, its verify verdict and its derivation, and the
+/// covers the three were computed from. The covers are copied once, by
+/// whichever phase first finishes the job for them; the other phase
+/// attaches its part to the same slot.
 struct JobOutcome {
   std::shared_ptr<const JobCovers> covers;
+  /// local_stg(component, gate) for the covers' fanins: set with them.
+  std::shared_ptr<const stg::MgStg> local;
   /// The verify verdict: the job's local SG is timing conformant to the
   /// gate. Empty until a verify run finished the job.
   std::optional<bool> conformant;
@@ -172,36 +169,36 @@ struct JobOutcome {
     return covers != nullptr && covers->up == gate.up.cubes &&
            covers->down == gate.down.cubes;
   }
+  bool projected_for(const circuit::Gate& gate) const {
+    return covers != nullptr && covers->fanins == gate.fanins;
+  }
 };
 
-/// One memoized outcome, keyed by (component, gate output).
+/// One memo slot, keyed by (component, gate output).
 struct MemoizedOutcome {
   int component = -1;
   int output = -1;
   JobOutcome outcome;
 };
 
-/// The job memo of one FlowDecomposition: projections and outcomes. A copy
-/// (or move) of a decomposition starts with an empty memo, and assigning
-/// one clears it: the memo belongs to the object whose component_stgs it
-/// projected.
+/// The job memo of one FlowDecomposition: one slot per (component, gate
+/// output). A copy (or move) of a decomposition starts with an empty memo,
+/// and assigning one clears it: the memo belongs to the object whose
+/// component_stgs it projected.
 class JobMemo {
  public:
   JobMemo() = default;
   JobMemo(const JobMemo&) {}
   JobMemo& operator=(const JobMemo&) {
     std::lock_guard<std::mutex> lock(mutex_);
-    projections_.clear();
     outcomes_.clear();
     return *this;
   }
 
  private:
   friend struct FlowDecomposition;
-  using ProjectionKey = std::pair<int, std::vector<int>>;  // (component, kept)
   using OutcomeKey = std::pair<int, int>;  // (component, gate output)
   mutable std::mutex mutex_;
-  std::map<ProjectionKey, std::shared_ptr<const stg::MgStg>> projections_;
   std::map<OutcomeKey, JobOutcome> outcomes_;
 };
 
@@ -218,36 +215,25 @@ struct FlowDecomposition {
   /// every copy.
   std::shared_ptr<const stg::Stg> source;
 
-  /// local_stg(component_stgs[component], gate), memoized by (component,
-  /// {gate.output} ∪ gate.fanins) for the life of this decomposition.
-  /// Thread-safe: a miss projects outside the lock, and when two callers
-  /// race on one key the first result stored is the one both get. The
-  /// memo holds at most jobs.size() projections (one per job of any one
-  /// netlist); a miss past that bound is projected and not kept. `hit`,
-  /// when set, reports whether the memo already held the projection.
-  std::shared_ptr<const stg::MgStg> local_stg_of(
-      int component, const circuit::Gate& gate, bool* hit = nullptr) const;
-
-  /// A snapshot of the memoized projections, in key order.
-  std::vector<MemoizedLocalStg> memoized_local_stgs() const;
-
-  /// The memoized outcome of each job of `circuit`, in job order, read
-  /// under one lock: empty where the memo holds none for the job's
-  /// (component, gate output). A slot may have been computed from another
-  /// netlist's gate; JobOutcome::computed_from tells.
+  /// The memo slot of each job of `circuit`, in job order, read under one
+  /// lock: empty where the memo holds none for the job's (component, gate
+  /// output). A slot may have been computed from another netlist's gate;
+  /// JobOutcome::computed_from and projected_for tell.
   std::vector<JobOutcome> job_outcomes(const circuit::Circuit& circuit) const;
 
-  /// Stores what a finished job computed for `gate`: its verify verdict
-  /// or its derivation. A slot computed from the same covers gains the
-  /// part; any other slot is reset to `gate`'s covers first. Thread-safe.
-  /// The memo holds at most jobs.size() outcomes (one per (component,
-  /// non-input signal)); a new key past that bound is not kept.
+  /// Stores what a finished job computed for `gate`: the local STG it ran
+  /// on and its verify verdict or its derivation. A slot computed from the
+  /// same covers gains the part; any other slot is reset to `gate`'s
+  /// covers first, and keeps its local STG only if it was projected for
+  /// the same fanins. Thread-safe. The memo holds at most jobs.size()
+  /// slots (one per (component, non-input signal)); a new key past that
+  /// bound is not kept.
   void remember_outcome(
       const FlowJob& job, const circuit::Gate& gate,
-      std::optional<bool> conformant,
+      std::shared_ptr<const stg::MgStg> local, std::optional<bool> conformant,
       std::shared_ptr<const JobDerivation> derivation) const;
 
-  /// A snapshot of the memoized outcomes, in key order.
+  /// A snapshot of the memo slots, in key order.
   std::vector<MemoizedOutcome> memoized_outcomes() const;
 
   mutable JobMemo memo;
@@ -283,7 +269,7 @@ FlowResult derive_timing_constraints(const stg::Stg& impl,
 /// memoized job charges its recorded steps to the max_steps budget, so the
 /// bound trips exactly when it would on a cold decomposition. A job that
 /// throws or is cancelled stores nothing; a run with expand.trace set
-/// neither reads nor writes the memo.
+/// reads only the memoized local STGs and writes nothing.
 FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
                                      const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
@@ -295,9 +281,9 @@ FlowResult derive_timing_constraints(const FlowDecomposition& decomposition,
 /// stable job order, independent of `options.jobs`), or an empty string.
 /// Each job's verdict is first looked up in the decomposition's outcome
 /// memo, as in derive_timing_constraints; the jobs it misses get their
-/// local STGs from the memo and their local SGs from `options.sg_cache`
-/// (or a private per-run cache), and with at most one miss nothing goes
-/// to the pool. The expand options do not participate.
+/// local STGs from their memo slots and their local SGs from
+/// `options.sg_cache` (or a private per-run cache), and with at most one
+/// miss nothing goes to the pool. The expand options do not participate.
 std::string verify_speed_independent(const stg::Stg& impl,
                                      const circuit::Circuit& circuit,
                                      const FlowOptions& options = {});

@@ -26,9 +26,11 @@
 // makes one observation in the build-latency sink.
 //
 // The flow core gets every local SG here: the verify phase once per
-// (MG component × gate) job, Expand after every relaxation. A resident
-// service's repeated or edited designs therefore re-verify from graphs
-// already built, as they re-expand.
+// (MG component × gate) job it runs, Expand after every relaxation. The
+// decomposition's job memo answers the unchanged gates of a resident
+// service's repeated or edited designs without either, so the graphs
+// served here go to the jobs that do run (an edited gate's, or those of a
+// design with no shared decomposition) where an earlier run built them.
 //
 // Bound: a shard that reaches 256 graphs is cleared before its next
 // insert, so the cache never holds more than 16 × 256 = 4 096 graphs. That

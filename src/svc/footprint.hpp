@@ -91,13 +91,17 @@ inline std::size_t footprint(const core::ConstraintSet& constraints) {
           kMapNodeBytes);
 }
 
-/// One memoized job outcome slot: its covers and its derivation, each in
-/// its own make_shared block.
+/// One job memo slot: its covers, its local STG and its derivation, each
+/// in its own make_shared block.
 inline std::size_t footprint(const core::JobOutcome& outcome) {
   std::size_t total = sizeof(core::JobOutcome);
   if (outcome.covers != nullptr)
     total += kControlBlockBytes + sizeof(core::JobCovers) +
-             slab_bytes(outcome.covers->up) + slab_bytes(outcome.covers->down);
+             slab_bytes(outcome.covers->up) +
+             slab_bytes(outcome.covers->down) +
+             slab_bytes(outcome.covers->fanins);
+  if (outcome.local != nullptr)
+    total += kControlBlockBytes + footprint(*outcome.local);
   if (outcome.derivation != nullptr)
     total += kControlBlockBytes + sizeof(core::JobDerivation) +
              footprint(outcome.derivation->before) +
@@ -105,26 +109,16 @@ inline std::size_t footprint(const core::JobOutcome& outcome) {
   return total;
 }
 
-/// The decomposition with its memoized local STGs and job outcomes as they
-/// stand now. The memo holds at most one projection and one outcome per
-/// job, so an entry charged after its run pays for every projection and
-/// outcome that run left.
+/// The decomposition with its job memo as it stands now. The memo holds
+/// at most one slot per job, so an entry charged after its run pays for
+/// every slot that run left.
 inline std::size_t footprint(const core::FlowDecomposition& decomposition) {
   std::size_t total = slab_bytes(decomposition.initial_values) +
                       slab_bytes(decomposition.jobs) +
                       slab_bytes(decomposition.component_stgs);
   for (const stg::MgStg& mg : decomposition.component_stgs)
     total += footprint(mg) - sizeof(stg::MgStg);  // slab counted above
-  // One map node per memoized projection: the key's signal list, and the
-  // local STG in its make_shared block.
-  for (const core::MemoizedLocalStg& memoized :
-       decomposition.memoized_local_stgs())
-    total += kMapNodeBytes + sizeof(int) + sizeof(std::vector<int>) +
-             slab_bytes(memoized.kept) +
-             sizeof(std::shared_ptr<const stg::MgStg>) + kControlBlockBytes +
-             footprint(*memoized.local);
-  // One map node per memoized outcome: the (component, output) key and
-  // the slot.
+  // One map node per slot: the (component, output) key and the slot.
   for (const core::MemoizedOutcome& memoized :
        decomposition.memoized_outcomes())
     total += kMapNodeBytes + 2 * sizeof(int) + footprint(memoized.outcome);

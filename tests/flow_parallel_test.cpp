@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,35 +121,42 @@ TEST_P(ParallelFlow, MemoizedLocalStgsEqualFreshProjections) {
       core::decompose_flow(stg, circuit);
   ASSERT_EQ(core::verify_speed_independent(decomposition, circuit), "");
 
-  // Verify projected every job once; each lookup now hits and hands out
-  // the projection a fresh local_stg computes.
-  const std::vector<core::MemoizedLocalStg> memo =
-      decomposition.memoized_local_stgs();
-  EXPECT_GT(memo.size(), 0u);
-  EXPECT_LE(memo.size(), decomposition.jobs.size());
-  for (const core::FlowJob& job : decomposition.jobs) {
-    const circuit::Gate& gate = circuit.gates()[job.gate];
-    bool hit = false;
-    const auto local = decomposition.local_stg_of(job.component, gate, &hit);
-    EXPECT_TRUE(hit) << bench.name << " job " << job.index;
-    expect_same_mg(*local,
-                   core::local_stg(
-                       decomposition.component_stgs[job.component], gate),
-                   bench.name + " job " + std::to_string(job.index));
-  }
-  // Every entry is keyed by what it projects onto: rebuilding a gate from
-  // its kept-signal set reproduces it.
-  for (const core::MemoizedLocalStg& memoized : memo) {
+  // Verify projected every job once into its slot. Each slot holds the
+  // projection a fresh local_stg computes for the gate it was made for:
+  // its output and the fanins of its covers, which are the netlist's.
+  const std::vector<core::MemoizedOutcome> memo =
+      decomposition.memoized_outcomes();
+  ASSERT_EQ(memo.size(), decomposition.jobs.size());
+  for (const core::MemoizedOutcome& slot : memo) {
+    const std::string where = bench.name + " component " +
+                              std::to_string(slot.component) + " output " +
+                              std::to_string(slot.output);
+    ASSERT_NE(slot.outcome.covers, nullptr) << where;
+    ASSERT_NE(slot.outcome.local, nullptr) << where;
     circuit::Gate gate;
-    gate.output = memoized.kept.front();
-    gate.fanins.assign(memoized.kept.begin() + 1, memoized.kept.end());
+    gate.output = slot.output;
+    gate.fanins = slot.outcome.covers->fanins;
+    EXPECT_EQ(gate.fanins, circuit.gate_for(slot.output).fanins) << where;
     expect_same_mg(
-        *memoized.local,
-        core::local_stg(decomposition.component_stgs[memoized.component],
-                        gate),
-        bench.name + " component " + std::to_string(memoized.component));
+        *slot.outcome.local,
+        core::local_stg(decomposition.component_stgs[slot.component], gate),
+        where);
   }
-  EXPECT_EQ(decomposition.memoized_local_stgs().size(), memo.size());
+
+  // Derive runs every job on the projection its slot holds, and the slot
+  // keeps it.
+  base::MetricCounter hits;
+  base::MetricCounter misses;
+  core::derive_timing_constraints(
+      decomposition, stg, circuit,
+      {.local_stg_hits = &hits, .local_stg_misses = &misses});
+  EXPECT_EQ(hits.value(), static_cast<long long>(memo.size()));
+  EXPECT_EQ(misses.value(), 0);
+  const std::vector<core::MemoizedOutcome> after =
+      decomposition.memoized_outcomes();
+  ASSERT_EQ(after.size(), memo.size());
+  for (std::size_t i = 0; i < memo.size(); ++i)
+    EXPECT_EQ(after[i].outcome.local, memo[i].outcome.local) << bench.name;
 }
 
 TEST_P(ParallelFlow, ReportsAreByteIdenticalWhateverFilledTheMemo) {
@@ -161,6 +169,9 @@ TEST_P(ParallelFlow, ReportsAreByteIdenticalWhateverFilledTheMemo) {
   base::ThreadPool pool(4);
   for (const int jobs : {1, 4}) {
     const core::FlowOptions options{.jobs = jobs, .pool = &pool};
+    base::MetricCounter projections;
+    core::FlowOptions counted = options;
+    counted.local_stg_misses = &projections;
     // Derive on an empty memo.
     const core::FlowDecomposition derive_only =
         core::decompose_flow(stg, circuit);
@@ -172,10 +183,11 @@ TEST_P(ParallelFlow, ReportsAreByteIdenticalWhateverFilledTheMemo) {
     // Verify fills the memo, derive reads it.
     const core::FlowDecomposition upgraded =
         core::decompose_flow(stg, circuit);
-    EXPECT_EQ(core::verify_speed_independent(upgraded, circuit, options), "");
-    const std::size_t projected = upgraded.memoized_local_stgs().size();
+    EXPECT_EQ(core::verify_speed_independent(upgraded, circuit, counted), "");
+    const long long projected = static_cast<long long>(upgraded.jobs.size());
+    EXPECT_EQ(projections.value(), projected) << bench.name;
     EXPECT_EQ(canonical(core::derive_timing_constraints(upgraded, stg,
-                                                        circuit, options),
+                                                        circuit, counted),
                         stg.signals),
               reference)
         << bench.name << " verify then derive, jobs " << jobs;
@@ -184,12 +196,14 @@ TEST_P(ParallelFlow, ReportsAreByteIdenticalWhateverFilledTheMemo) {
     // the edited design's cold report.
     const circuit::Circuit edited = duplicate_first_cube(circuit, stg);
     EXPECT_EQ(canonical(core::derive_timing_constraints(upgraded, stg, edited,
-                                                        options),
+                                                        counted),
                         stg.signals),
               canonical(core::derive_timing_constraints(stg, edited),
                         stg.signals))
         << bench.name << " edited, jobs " << jobs;
-    EXPECT_EQ(upgraded.memoized_local_stgs().size(), projected) << bench.name;
+    EXPECT_EQ(projections.value(), projected) << bench.name;
+    EXPECT_EQ(upgraded.memoized_outcomes().size(), upgraded.jobs.size())
+        << bench.name;
   }
 }
 
@@ -706,8 +720,9 @@ TEST(LocalStgMemo, ThreadsSharingOneDecompositionAgree) {
   }
   // One outcome lookup per job per phase per thread; only the outcomes
   // the memo missed (at least one thread's worth, more when threads race)
-  // look their local STG up. Racing misses may project a key twice, but
-  // the memo keeps one projection per key.
+  // look their slot's local STG up. Racing verify misses may project a job
+  // more than once, but the memo keeps one slot per job, and each thread's
+  // derive finds the projection its own verify stored.
   const long long jobs = static_cast<long long>(decomposition.jobs.size());
   long long outcome_misses_total = 0;
   for (int phase = 0; phase < 2; ++phase) {
@@ -720,41 +735,103 @@ TEST(LocalStgMemo, ThreadsSharingOneDecompositionAgree) {
   EXPECT_EQ(hits.value() + misses.value(), outcome_misses_total);
   EXPECT_EQ(decomposition.memoized_outcomes().size(),
             static_cast<std::size_t>(jobs));
-  const long long keys =
-      static_cast<long long>(decomposition.memoized_local_stgs().size());
-  EXPECT_LE(keys, jobs);
-  EXPECT_GE(misses.value(), keys);
-  EXPECT_LE(misses.value(), kThreads * keys);
+  EXPECT_GE(misses.value(), jobs);
+  EXPECT_LE(misses.value(), kThreads * jobs);
 }
 
 TEST(LocalStgMemo, HoldsAtMostOneProjectionPerJob) {
-  // Netlists that read other signals key new projections; once the memo
-  // holds one per job, further misses are projected and not kept.
+  // Gates that read other signals reset their slots to new covers and new
+  // projections; the memo never holds more than one slot per job, and
+  // each slot holds the projection of the last gate stored in it.
   const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
   const stg::Stg stg = benchdata::load_stg(bench);
   const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
   const core::FlowDecomposition decomposition =
       core::decompose_flow(stg, circuit);
   const int signals = stg.signals.count();
+  const int components =
+      static_cast<int>(decomposition.component_stgs.size());
   for (int output = 0; output < signals; ++output)
     for (int fanin = 0; fanin < signals; ++fanin) {
       circuit::Gate gate;
       gate.output = output;
+      gate.up.cubes = {boolfn::Cube::literal(fanin, true)};
       if (fanin != output) gate.fanins = {fanin};
-      for (int c = 0; c < static_cast<int>(
-                              decomposition.component_stgs.size());
-           ++c) {
-        const auto local = decomposition.local_stg_of(c, gate);
-        expect_same_mg(*local,
-                       core::local_stg(decomposition.component_stgs[c], gate),
-                       "component " + std::to_string(c));
-      }
+      for (int c = 0; c < components; ++c)
+        decomposition.remember_outcome(
+            {.component = c}, gate,
+            std::make_shared<const stg::MgStg>(
+                core::local_stg(decomposition.component_stgs[c], gate)),
+            true, nullptr);
+      EXPECT_LE(decomposition.memoized_outcomes().size(),
+                decomposition.jobs.size());
     }
-  EXPECT_EQ(decomposition.memoized_local_stgs().size(),
-            decomposition.jobs.size());
+  const std::vector<core::MemoizedOutcome> memo =
+      decomposition.memoized_outcomes();
+  EXPECT_EQ(memo.size(), decomposition.jobs.size());
+  for (const core::MemoizedOutcome& slot : memo) {
+    circuit::Gate gate;
+    gate.output = slot.output;
+    gate.fanins = slot.outcome.covers->fanins;
+    // The last gate stored for every output read the last signal, which
+    // the last signal's own gate does not count as a fanin.
+    EXPECT_EQ(gate.fanins, slot.output == signals - 1
+                               ? std::vector<int>{}
+                               : std::vector<int>{signals - 1});
+    expect_same_mg(
+        *slot.outcome.local,
+        core::local_stg(decomposition.component_stgs[slot.component], gate),
+        "component " + std::to_string(slot.component));
+  }
   // A copy starts with an empty memo of its own.
   const core::FlowDecomposition copy = decomposition;
-  EXPECT_TRUE(copy.memoized_local_stgs().empty());
+  EXPECT_TRUE(copy.memoized_outcomes().empty());
+}
+
+TEST(LocalStgMemo, AFaninChangingEditProjectsItsGateOnce) {
+  // An edit that makes a gate read other signals projects that gate's jobs
+  // once: its verify stores the new local STGs in the gate's slots, and
+  // the derive that follows runs on them. The memo stays one slot per job.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const core::FlowDecomposition decomposition =
+      core::decompose_flow(stg, circuit);
+  ASSERT_EQ(core::verify_speed_independent(decomposition, circuit), "");
+  core::derive_timing_constraints(decomposition, stg, circuit, {});
+  const long long components =
+      static_cast<long long>(decomposition.component_stgs.size());
+
+  const std::string original = "map0 = wsldin' * csc0;";
+  const std::string eqn = bench.eqn;
+  const auto at = eqn.find(original);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* map0 :
+       {"wsldin' * csc0 * req'", "wsldin' * csc0 * wenin'",
+        "wsldin' * csc0 * precharged", "wsldin' * req", "wsldin' * csc0"}) {
+    std::string edited_eqn = eqn;
+    edited_eqn.replace(at, original.size(),
+                       std::string("map0 = ") + map0 + ";");
+    const circuit::Circuit edited =
+        circuit::Circuit::from_equations(&stg.signals, edited_eqn);
+    base::MetricCounter verify_hits;
+    base::MetricCounter verify_misses;
+    core::verify_speed_independent(
+        decomposition, edited,
+        {.local_stg_hits = &verify_hits, .local_stg_misses = &verify_misses});
+    EXPECT_EQ(verify_misses.value(), components) << map0;
+    EXPECT_EQ(verify_hits.value(), 0) << map0;
+    base::MetricCounter derive_hits;
+    base::MetricCounter derive_misses;
+    core::derive_timing_constraints(
+        decomposition, stg, edited,
+        {.local_stg_hits = &derive_hits, .local_stg_misses = &derive_misses});
+    EXPECT_EQ(derive_hits.value(), components) << map0;
+    EXPECT_EQ(derive_misses.value(), 0) << map0;
+    EXPECT_EQ(decomposition.memoized_outcomes().size(),
+              decomposition.jobs.size())
+        << map0;
+  }
 }
 
 TEST(FlowReport, TextAndJsonCarryTheThesisLists) {

@@ -24,7 +24,12 @@ two classes:
     Timings are only comparable between runs on equal cores: when the
     baseline's and the fresh run's top-level "hardware_concurrency"
     differ, changed timing rows read "not comparable (N→M cores)" and are
-    never flagged.
+    never flagged. Nor are they comparable when either file was made on a
+    loaded host: when its "host" stamp (written by bench/host_load.hpp)
+    shows a steal share above STEAL_LIMIT or a 1-minute load average
+    above its hardware_concurrency, changed timing rows read "not
+    comparable (loaded)" and are never flagged. Files without a "host"
+    stamp compare as before.
   - DETERMINISTIC metrics — constraint counts, job/subtask counts,
     determinism flags, entry counts. These must not drift with the
     hardware; ANY change is flagged, and fails the job under --strict.
@@ -65,7 +70,12 @@ VOLATILE_MARKERS = (
     "hits",                  # concurrent hit/coalesced split is a race
     "coalesced",
     "pool_workers",
+    "host.",                 # how loaded the machine was
 )
+
+# A file whose run lost more than this share of all CPU time to the
+# hypervisor timed the host as much as the code.
+STEAL_LIMIT = 0.05
 
 
 TIMING_MARKERS = ("seconds", "speedup", "requests_per_sec")
@@ -77,6 +87,15 @@ def is_volatile(path: str) -> bool:
 
 def is_timing(path: str) -> bool:
     return any(marker in path for marker in TIMING_MARKERS)
+
+
+def loaded(flat: dict) -> bool:
+    """True when a flattened BENCH file's host stamp shows a loaded host."""
+    steal = flat.get("host.steal_share")
+    load = flat.get("host.load_avg_1m")
+    cores = flat.get("hardware_concurrency")
+    return (steal is not None and steal > STEAL_LIMIT) or (
+        load is not None and cores is not None and load > cores)
 
 
 def main() -> int:
@@ -115,6 +134,7 @@ def main() -> int:
         cores = (base.get("hardware_concurrency"),
                  fresh.get("hardware_concurrency"))
         incomparable = None not in cores and cores[0] != cores[1]
+        busy = loaded(base) or loaded(fresh)
         rows = []
         for path in sorted(set(base) | set(fresh)):
             b, f_ = base.get(path), fresh.get(path)
@@ -127,6 +147,8 @@ def main() -> int:
             delta = (f_ - b) / b * 100.0 if b != 0 else float("inf")
             if incomparable and is_timing(path):
                 flag = f"not comparable ({cores[0]:g}→{cores[1]:g} cores)"
+            elif busy and is_timing(path):
+                flag = "not comparable (loaded)"
             elif is_volatile(path):
                 # Timings regress UP; speedup ratios (the delta-path's
                 # cold/warm quotient) regress DOWN.

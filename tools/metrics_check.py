@@ -249,9 +249,8 @@ def main():
     assert sg_builds > 0, "no sg build observations"
 
     # The local-STG memo: each cold design's verify projected every job
-    # whose gate signals it had not seen yet (misses; gates with equal
-    # signal sets share a projection, so the rest hit) and its derive read
-    # every projection back (hits); the warm pass runs no phase, so
+    # into the job's memo slot (misses) and its derive ran every job on
+    # the projection its slot held (hits); the warm pass runs no phase, so
     # neither counter moves between the scrapes.
     memo = {}
     for outcome in ("hits", "misses"):
